@@ -2,19 +2,23 @@
 entanglement of formation for two-qubit states, and the residual of the
 entropy bookkeeping identity on pure three-qubit states.
 
-The conditional-entropy minimization runs a coarse grid over projective
-measurement directions followed by Nelder-Mead refinement. Grid cells are
-evaluated by a vectorized closed-form kernel (2x2 spectra via trace and
-determinant); discord_oracle_grid re-derives everything through a separate
-brute-force route (embedded effects, Bloch-vector spectra) so the two can
-certify each other.
+The directional quantities rest on one conditional-entropy minimization per
+(state, measured qubit), which J and D share. The state is read once into
+its Bloch form rho = 1/4 (Tr rho I + a.sigma x I + I x b.sigma +
+sum T_ij sigma_i x sigma_j). A measurement effect w (1 + n.sigma) on the
+measured qubit then has outcome weight w (Tr rho + m.n) and leaves the
+other qubit with unnormalized Bloch vector w (u + T n), where m and u are
+the measured and unmeasured Bloch vectors; that is all one kernel needs for
+the coarse grid over projective directions, the Nelder-Mead refinement and
+the trine sweep. discord_oracle_grid re-derives everything through a
+separate brute-force route (embedded effects, index-by-index partial
+traces) so the two can certify each other.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import pi
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -38,6 +42,7 @@ from .states import (
 )
 
 _I2 = np.eye(2, dtype=complex)
+_PAULI = np.stack([_I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 # identity-audit residuals must land in this window at default config
 RESIDUAL_LOW = -1e-6
@@ -45,6 +50,18 @@ RESIDUAL_HIGH = 2e-3
 
 # a trine sweep may never undercut the projective minimum by more than this
 TRINE_SLACK = 1e-6
+
+# kernel outcomes with weight at or below this contribute no entropy
+TRACE_FLOOR = 1e-12
+
+# Nelder-Mead stops once its simplex spans less than this in (theta, phi)
+REFINE_XATOL = 1e-6
+
+# discord's two decompositions must agree to within this
+DISCORD_CROSS_TOL = 1e-9
+
+# float noise may push a directional measure this far below zero
+MEASURE_FLOOR = -1e-9
 
 _CYCLIC_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -85,23 +102,11 @@ class DirectionalMeasure:
     optimizer_evals: int
 
     def __post_init__(self):
-        if self.value < -1e-9:
-            raise ConsistencyError(f"directional measure came out {self.value:.3e} < -1e-9")
+        if self.value < MEASURE_FLOOR:
+            raise ConsistencyError(
+                f"directional measure came out {self.value:.3e} < {MEASURE_FLOOR:g}")
         if self.direction not in ("leftward", "rightward"):
             raise ConsistencyError(f"unknown direction {self.direction!r}")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("QCORR_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        w = int(raw)
-    except ValueError as exc:
-        raise OutOfRangeError(f"QCORR_THREADS must be an integer, got {raw!r}") from exc
-    if w < 1:
-        raise OutOfRangeError(f"QCORR_THREADS must be >= 1, got {w}")
-    return w
 
 
 def _binary_h_vec(x: np.ndarray) -> np.ndarray:
@@ -113,57 +118,66 @@ def _binary_h_vec(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_cells(rho4: np.ndarray, measured: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Conditional entropy of the projective pair along each (theta, phi).
+def _bloch_form(rho4: np.ndarray, measured: int) -> tuple:
+    """Columns of the 4x4 correlation matrix R_ij = Tr[rho sigma_i x sigma_j],
+    arranged so row 0 is (Tr rho, m) and rows 1-3 are (u, T) with the
+    measured qubit's index second; each column is shaped (4, 1, 1) to
+    broadcast against (K, G) direction components."""
+    r = np.einsum('iba,jdc,acbd->ij', _PAULI, _PAULI, rho4.reshape(2, 2, 2, 2)).real
+    if measured == 0:
+        r = r.T
+    return tuple(r[:, k, None, None] for k in range(4))
 
-    Vectorized over flat angle arrays. The complementary effect reuses the
-    unmeasured marginal, and 2x2 spectra come from trace and determinant.
+
+def _cells(form: tuple, dirs: np.ndarray, weight: float) -> np.ndarray:
+    """Conditional entropy of G measurements with K effects weight (1 + n.sigma).
+
+    dirs has shape (3, K, G). Effect n leaves the unmeasured qubit with
+    outcome weight p = weight (Tr rho + m.n) and eigenvalues
+    (p +- weight |u + T n|) / 2, so its larger normalized eigenvalue lam
+    lies in [1/2, 1] and the entropy is p h(lam). Products are elementwise,
+    never a matmul, so a cell's value does not depend on how many cells are
+    evaluated. Outcomes with p <= TRACE_FLOOR contribute nothing.
     """
-    r = rho4.reshape(2, 2, 2, 2)
+    c0, c1, c2, c3 = form
+    w = c0 + c1 * dirs[0] + c2 * dirs[1] + c3 * dirs[2]
+    p = weight * w[0]
+    spread = weight * np.sqrt((w[1:] * w[1:]).sum(axis=0))
+    live = p > TRACE_FLOOR
+    lam = np.minimum(np.maximum((p + spread) / (2.0 * np.where(live, p, 1.0)), 0.5), 1.0)
+    q = 1.0 - lam  # q log2 q is taken as 0 at q = 0
+    h = -(lam * np.log2(lam) + q * np.log2(q + (q == 0.0)))
+    return np.where(live, p * h, 0.0).sum(axis=0)
+
+
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _pair_cells(form: tuple, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Conditional entropy of the projective pair along each (theta, phi)."""
     st = np.sin(theta)
-    n = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-    p = 0.5 * (_I2[None]
-               + n[:, 0, None, None] * SIGMA_X
-               + n[:, 1, None, None] * SIGMA_Y
-               + n[:, 2, None, None] * SIGMA_Z)
-    if measured == 1:
-        sig = np.einsum('aebc,gce->gab', r, p, optimize=True)
-        marginal = np.einsum('acbc->ab', r)
-    else:
-        sig = np.einsum('bcad,gab->gcd', r, p, optimize=True)
-        marginal = np.einsum('abac->bc', r)
-    total = np.zeros(len(p))
-    for s in (sig, marginal[None] - sig):
-        tr = np.real(s[:, 0, 0] + s[:, 1, 1])
-        det = np.real(s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0])
-        disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
-        safe = np.where(tr > 1e-12, tr, 1.0)
-        lam = np.where(tr > 1e-12, (tr + disc) / (2.0 * safe), 0.5)
-        total += np.where(tr > 1e-12, tr * _binary_h_vec(lam), 0.0)
-    return total
+    n = np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+    return _cells(form, n[:, None] * _SIGNS, 0.5)
 
 
-def _grid_values(rho4: np.ndarray, measured: int, thetas: np.ndarray,
-                 phis: np.ndarray) -> np.ndarray:
-    """Evaluate the kernel over the full grid, optionally in row slabs.
+def _trine_grid_min(form: tuple, n_theta: int = 16, n_phi: int = 32,
+                    n_spin: int = 12) -> tuple[float, int]:
+    """Minimum conditional entropy over a grid of trine measurements.
 
-    Cells are independent, so slab boundaries cannot change any value and
-    the result is identical for every worker count.
+    Each trine: three effects (1 + m_k.sigma)/3 with coplanar unit vectors
+    m_k at 120 degrees; the plane normal sweeps the sphere and the trine
+    spins inside the plane.
     """
-    tg, pg = np.meshgrid(thetas, phis, indexing='ij')
-    tf, pf = tg.ravel(), pg.ravel()
-    workers = min(_worker_count(), len(thetas))
-    if workers == 1:
-        vals = _pair_cells(rho4, measured, tf, pf)
-    else:
-        n_p = len(phis)
-        blocks = [b for b in np.array_split(np.arange(len(thetas)), workers) if b.size]
-        spans = [(b[0] * n_p, (b[-1] + 1) * n_p) for b in blocks]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(
-                lambda s: _pair_cells(rho4, measured, tf[s[0]:s[1]], pf[s[0]:s[1]]), spans))
-        vals = np.concatenate(parts)
-    return vals.reshape(len(thetas), len(phis))
+    th = np.linspace(0.0, pi, n_theta)
+    ph = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
+    al = np.linspace(0.0, 2.0 * pi / 3.0, n_spin, endpoint=False)
+    T, P, A = (x.ravel() for x in np.meshgrid(th, ph, al, indexing='ij'))
+    ct, st, cp, sp = np.cos(T), np.sin(T), np.cos(P), np.sin(P)
+    e1 = np.stack([ct * cp, ct * sp, -st])
+    e2 = np.stack([-sp, cp, np.zeros_like(sp)])
+    ang = A + 2.0 * pi * np.arange(3)[:, None] / 3.0
+    dirs = np.cos(ang) * e1[:, None] + np.sin(ang) * e2[:, None]
+    return float(_cells(form, dirs, 1.0 / 3.0).min()), len(T)
 
 
 def _canonical_angles(theta: float, phi: float) -> BlochAngles:
@@ -182,67 +196,33 @@ def _min_conditional_entropy(rho4: np.ndarray, measured: int,
                              cfg: OptimizerConfig) -> tuple[float, BlochAngles, int]:
     """Coarse grid then Nelder-Mead; ties break to the lowest theta row,
     then the lowest phi column (row-major argmin)."""
+    form = _bloch_form(rho4, measured)
     thetas = (pi / 2.0) * np.arange(cfg.grid_theta) / cfg.grid_theta
     phis = (2.0 * pi) * np.arange(cfg.grid_phi) / cfg.grid_phi
-    values = _grid_values(rho4, measured, thetas, phis)
+    tg, pg = np.meshgrid(thetas, phis, indexing='ij')
+    values = _pair_cells(form, tg.ravel(), pg.ravel()).reshape(tg.shape)
     flat = int(np.argmin(values))
     i, j = divmod(flat, cfg.grid_phi)
     evals = values.size
 
     def objective(x):
-        return _pair_cells(rho4, measured, np.array([x[0]]), np.array([x[1]]))[0]
+        return _pair_cells(form, x[:1], x[1:])[0]
 
     res = minimize(objective, x0=[thetas[i], phis[j]], method='Nelder-Mead',
-                   options=dict(maxiter=cfg.refine_iters, fatol=cfg.refine_tol, xatol=1e-6))
+                   options=dict(maxiter=cfg.refine_iters, fatol=cfg.refine_tol,
+                                xatol=REFINE_XATOL))
     evals += int(res.nfev)
     if res.fun < values[i, j]:
         best, angles = float(res.fun), _canonical_angles(res.x[0], res.x[1])
     else:
         best, angles = float(values[i, j]), _canonical_angles(thetas[i], phis[j])
     if cfg.trine_sweep:
-        trine_best, trine_cells = _trine_grid_min(rho4, measured)
+        trine_best, trine_cells = _trine_grid_min(form)
         evals += trine_cells
         if trine_best < best - TRINE_SLACK:
             raise ConsistencyError(
                 f"trine sweep undercut the projective minimum by {best - trine_best:.3e}")
     return best, angles, evals
-
-
-def _trine_grid_min(rho4: np.ndarray, measured: int, n_theta: int = 16,
-                    n_phi: int = 32, n_spin: int = 12) -> tuple[float, int]:
-    """Minimum conditional entropy over a grid of trine measurements.
-
-    Each trine: three effects (1 + m_k.sigma)/3 with coplanar unit vectors
-    m_k at 120 degrees; the plane normal sweeps the sphere and the trine
-    spins inside the plane.
-    """
-    th = np.linspace(0.0, pi, n_theta)
-    ph = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
-    al = np.linspace(0.0, 2.0 * pi / 3.0, n_spin, endpoint=False)
-    T, P, A = (x.ravel() for x in np.meshgrid(th, ph, al, indexing='ij'))
-    ct, st, cp, sp = np.cos(T), np.sin(T), np.cos(P), np.sin(P)
-    e1 = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    e2 = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-    r = rho4.reshape(2, 2, 2, 2)
-    total = np.zeros(len(T))
-    for k in range(3):
-        ang = A + 2.0 * pi * k / 3.0
-        m = np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2
-        eff = (1.0 / 3.0) * (_I2[None]
-                             + m[:, 0, None, None] * SIGMA_X
-                             + m[:, 1, None, None] * SIGMA_Y
-                             + m[:, 2, None, None] * SIGMA_Z)
-        if measured == 1:
-            sig = np.einsum('aebc,gce->gab', r, eff, optimize=True)
-        else:
-            sig = np.einsum('bcad,gab->gcd', r, eff, optimize=True)
-        tr = np.real(sig[:, 0, 0] + sig[:, 1, 1])
-        det = np.real(sig[:, 0, 0] * sig[:, 1, 1] - sig[:, 0, 1] * sig[:, 1, 0])
-        disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
-        safe = np.where(tr > 1e-12, tr, 1.0)
-        lam = np.where(tr > 1e-12, (tr + disc) / (2.0 * safe), 0.5)
-        total += np.where(tr > 1e-12, tr * _binary_h_vec(lam), 0.0)
-    return float(total.min()), len(T)
 
 
 def _require_two_qubits(rho: DensityMatrix):
@@ -256,16 +236,49 @@ def _direction_name(measured: int) -> str:
     return "leftward" if measured == 1 else "rightward"
 
 
+class _SideMinimum(NamedTuple):
+    """One conditional-entropy minimization of a two-qubit state with one
+    qubit measured; J and D are both read off it."""
+
+    rho: DensityMatrix
+    direction: str
+    s_u: float
+    s_m: float
+    s_full: float
+    best: float
+    angles: BlochAngles
+    evals: int
+
+    def classical_correlation(self) -> DirectionalMeasure:
+        return DirectionalMeasure(self.s_u - self.best, self.direction, self.angles, self.evals)
+
+    def discord(self) -> DirectionalMeasure:
+        value = self.s_m - self.s_full + self.best
+        cross = mutual_information(self.rho, [0]) - (self.s_u - self.best)
+        if abs(value - cross) > DISCORD_CROSS_TOL:
+            raise ConsistencyError(
+                f"discord forms disagree: {value!r} vs I_q - J = {cross!r}")
+        return DirectionalMeasure(value, self.direction, self.angles, self.evals)
+
+
+def _minimize_side(rho: DensityMatrix, measured: int,
+                   cfg: OptimizerConfig | None) -> _SideMinimum:
+    """S(unmeasured), S(measured), S(rho) and the minimal conditional
+    entropy with its direction and evaluation count."""
+    _require_two_qubits(rho)
+    direction = _direction_name(measured)
+    s_u = von_neumann_entropy(partial_trace(rho, [measured]))
+    s_m = von_neumann_entropy(partial_trace(rho, [1 - measured]))
+    s_full = von_neumann_entropy(rho)
+    best, angles, evals = _min_conditional_entropy(rho.mat, measured, cfg or OptimizerConfig())
+    return _SideMinimum(rho, direction, s_u, s_m, s_full, best, angles, evals)
+
+
 def classical_correlation(rho: DensityMatrix, measured: int,
                           cfg: OptimizerConfig | None = None) -> DirectionalMeasure:
     """J: entropy of the unmeasured qubit minus the best conditional entropy
     achievable with a projective pair on the measured one."""
-    _require_two_qubits(rho)
-    direction = _direction_name(measured)
-    cfg = cfg or OptimizerConfig()
-    s_u = von_neumann_entropy(partial_trace(rho, [measured]))
-    best, angles, evals = _min_conditional_entropy(rho.mat, measured, cfg)
-    return DirectionalMeasure(s_u - best, direction, angles, evals)
+    return _minimize_side(rho, measured, cfg).classical_correlation()
 
 
 def discord(rho: DensityMatrix, measured: int,
@@ -273,21 +286,9 @@ def discord(rho: DensityMatrix, measured: int,
     """Quantum discord D = S(measured) - S(full) + min conditional entropy.
 
     Also rebuilt as I_q - J through the mutual-information path; the two
-    forms must agree to 1e-9 or ConsistencyError is raised.
+    forms must agree to DISCORD_CROSS_TOL or ConsistencyError is raised.
     """
-    _require_two_qubits(rho)
-    direction = _direction_name(measured)
-    cfg = cfg or OptimizerConfig()
-    s_m = von_neumann_entropy(partial_trace(rho, [1 - measured]))
-    s_u = von_neumann_entropy(partial_trace(rho, [measured]))
-    s_full = von_neumann_entropy(rho)
-    best, angles, evals = _min_conditional_entropy(rho.mat, measured, cfg)
-    value = s_m - s_full + best
-    cross = mutual_information(rho, [0]) - (s_u - best)
-    if abs(value - cross) > 1e-9:
-        raise ConsistencyError(
-            f"discord forms disagree: {value!r} vs I_q - J = {cross!r}")
-    return DirectionalMeasure(value, direction, angles, evals)
+    return _minimize_side(rho, measured, cfg).discord()
 
 
 def discord_oracle_grid(rho: DensityMatrix, measured: int, resolution: int) -> float:

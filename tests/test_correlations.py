@@ -9,6 +9,7 @@ from qcorr import (
     DensityMatrix,
     PureState,
     OptimizerConfig,
+    Povm,
     apply_filter,
     classical_correlation,
     concurrence,
@@ -29,7 +30,8 @@ from qcorr import (
 from qcorr.correlations import (
     RESIDUAL_HIGH,
     RESIDUAL_LOW,
-    _grid_values,
+    _bloch_form,
+    _cells,
     _pair_cells,
 )
 from qcorr.exceptions import (
@@ -251,36 +253,39 @@ def test_min_entropy_monotone_on_random_states():
         assert values[1] <= values[2] + 1e-9
 
 
-def test_thread_count_does_not_change_grid(pair_post, monkeypatch):
-    thetas = np.linspace(0.0, math.pi / 2, 24, endpoint=False)
-    phis = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
-    monkeypatch.setenv("QCORR_THREADS", "1")
-    one = _grid_values(pair_post.mat, 1, thetas, phis)
-    monkeypatch.setenv("QCORR_THREADS", "4")
-    four = _grid_values(pair_post.mat, 1, thetas, phis)
-    assert np.array_equal(one, four)  # bitwise: slabs reuse the same cells
-
-
-def test_thread_count_rejects_invalid(pair_post, monkeypatch):
-    for bad in ("zero", "0", "-2"):
-        monkeypatch.setenv("QCORR_THREADS", bad)
-        with pytest.raises(OutOfRangeError):
-            classical_correlation(pair_post, 1, FAST)
-
-
 def test_trine_sweep_leaves_value_unchanged(pair_post):
     plain = discord(pair_post, 1, FAST)
     checked = discord(pair_post, 1, OptimizerConfig(24, 48, 120, 1e-10, trine_sweep=True))
     assert checked.value == plain.value
 
 
-def test_kernel_matches_scalar_conditional_entropy(pair_post):
-    rho = random_mixed_pair(400)
-    for target in (pair_post, rho):
+def test_kernel_matches_scalar_conditional_entropy(pair_pre, pair_post, bell_pair):
+    # near_floor: measuring qubit 0 along z gives outcome 1 with probability
+    # 3e-12, just above PROB_FLOOR, and that outcome leaves qubit 1 maximally
+    # mixed, so skipping it would cost 3e-12
+    delta = 3e-12
+    near_floor = DensityMatrix(np.diag([1.0 - delta, 0.0, delta / 2, delta / 2]).astype(complex),
+                               (2, 2))
+    product = DensityMatrix(kron(np.diag([0.8, 0.2]), np.full((2, 2), 0.5)).astype(complex),
+                            (2, 2))
+    targets = (pair_pre, pair_post, bell_pair, product, near_floor, random_mixed_pair(400))
+    for target in targets:
         for measured in (0, 1):
-            for theta, phi in [(0.0, 0.0), (0.7, 1.9), (1.4, 5.0)]:
-                cell = _pair_cells(target.mat, measured,
-                                   np.array([theta]), np.array([phi]))[0]
+            form = _bloch_form(target.mat, measured)
+            for theta, phi in [(0.0, 0.0), (0.7, 1.9), (1.4, 5.0), (math.pi / 2, math.pi)]:
+                cell = _pair_cells(form, np.array([theta]), np.array([phi]))[0]
                 scalar = conditional_entropy(
                     target, projective_pair(BlochAngles(theta, phi)), measured)
                 assert abs(cell - scalar) < 1e-12
+    # one trine: three coplanar effects (1 + v_k.sigma)/3 at 120 degrees in a tilted plane
+    e1 = np.array([math.cos(0.4), 0.0, -math.sin(0.4)])
+    e2 = np.array([0.0, 1.0, 0.0])
+    vecs = [math.cos(0.3 + 2 * math.pi * k / 3) * e1 + math.sin(0.3 + 2 * math.pi * k / 3) * e2
+            for k in range(3)]
+    sigma = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+    trine = Povm(tuple((np.eye(2) + sum(v[i] * sigma[i] for i in range(3))) / 3.0 for v in vecs))
+    dirs = np.array(vecs).T[:, :, None]  # (component, effect, measurement)
+    for target in (pair_post, targets[-1]):
+        for measured in (0, 1):
+            cell = _cells(_bloch_form(target.mat, measured), dirs, 1.0 / 3.0)[0]
+            assert abs(cell - conditional_entropy(target, trine, measured)) < 1e-12

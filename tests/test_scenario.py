@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
+import qcorr.correlations
 from qcorr import (
     OptimizerConfig,
     acceptance_checks,
     apply_filter,
+    classical_correlation,
     density_from_pure,
+    discord,
     koashi_winter_residual,
     partial_trace,
     run_scenario,
     von_neumann_entropy,
 )
 from qcorr.scenario import (
+    LABELS,
+    PAIRS,
     build_report,
     filter_e,
     ghz3,
@@ -105,6 +110,29 @@ def test_report_residuals_match_direct_calls(scenario_reports):
         for key, (a, b, c) in perms.items():
             direct = koashi_winter_residual(psi, a, b, c, OptimizerConfig())
             assert abs(report.kw_residuals[key] - direct) < 1e-12
+
+
+def test_scenario_minimizes_once_per_pair_and_side(monkeypatch):
+    # 2 stages x 3 pairs x 2 measured sides, each shared by J and D
+    calls = []
+    real_minimize = qcorr.correlations.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(qcorr.correlations, "minimize", counting)
+    pre, post = run_scenario()
+    assert len(calls) == 12
+    monkeypatch.undo()
+    for psi, report in ((ghz3(), pre), (apply_filter(ghz3(), filter_e(), 2), post)):
+        rho = density_from_pure(psi)
+        for i, j in PAIRS:
+            pair = partial_trace(rho, [k for k in range(3) if k not in (i, j)])
+            for pos, label in ((0, LABELS[i]), (1, LABELS[j])):
+                key = f"{LABELS[i]}{LABELS[j]}_measure{label}"
+                assert report.pairwise_j[key] == classical_correlation(pair, pos).value
+                assert report.pairwise_discord[key] == discord(pair, pos).value
 
 
 def test_post_state_bipartite_entropy_identity():
