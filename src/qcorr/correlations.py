@@ -2,22 +2,20 @@
 entanglement of formation for two-qubit states, and the residual of the
 entropy bookkeeping identity on pure three-qubit states.
 
-The directional quantities rest on one conditional-entropy minimization per
-(state, measured qubit), which J and D share. The state is read once into
-its Bloch form rho = 1/4 (Tr rho I + a.sigma x I + I x b.sigma +
-sum T_ij sigma_i x sigma_j). A measurement effect w (1 + n.sigma) on the
-measured qubit then has outcome weight w (Tr rho + m.n) and leaves the
-other qubit with unnormalized Bloch vector w (u + T n), where m and u are
-the measured and unmeasured Bloch vectors; that is all one kernel needs for
-the coarse grid over projective directions, the Nelder-Mead refinement and
-the trine sweep. discord_oracle_grid re-derives everything through a
-separate brute-force route (embedded effects, index-by-index partial
-traces) so the two can certify each other.
+J and D of a (state, measured qubit) share one conditional-entropy
+minimization. It reads the state once into its Bloch form, and one
+elementwise kernel prices each measurement direction in a few flops: on
+numpy arrays for the grids, on floats for the Nelder-Mead objective.
+discord_oracle_grid re-derives everything through a separate brute-force
+route (embedded effects, index-by-index partial traces) so the two can
+certify each other.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from math import pi
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -103,8 +101,7 @@ class DirectionalMeasure:
 
     def __post_init__(self):
         if self.value < MEASURE_FLOOR:
-            raise ConsistencyError(
-                f"directional measure came out {self.value:.3e} < {MEASURE_FLOOR:g}")
+            raise ConsistencyError(f"directional measure {self.value:.3e} < {MEASURE_FLOOR}")
         if self.direction not in ("leftward", "rightward"):
             raise ConsistencyError(f"unknown direction {self.direction!r}")
 
@@ -119,65 +116,50 @@ def _binary_h_vec(x: np.ndarray) -> np.ndarray:
 
 
 def _bloch_form(rho4: np.ndarray, measured: int) -> tuple:
-    """Columns of the 4x4 correlation matrix R_ij = Tr[rho sigma_i x sigma_j],
-    arranged so row 0 is (Tr rho, m) and rows 1-3 are (u, T) with the
-    measured qubit's index second; each column is shaped (4, 1, 1) to
-    broadcast against (K, G) direction components."""
+    """Rows of the correlation matrix R_ij = Tr[rho sigma_i x sigma_j] as
+    floats, arranged so row 0 is (Tr rho, m) and row 1 + i is (u_i, T_i0,
+    T_i1, T_i2), with the measured qubit's Pauli index second."""
     r = np.einsum('iba,jdc,acbd->ij', _PAULI, _PAULI, rho4.reshape(2, 2, 2, 2)).real
     if measured == 0:
         r = r.T
-    return tuple(r[:, k, None, None] for k in range(4))
+    return tuple(map(tuple, r.tolist()))
 
 
-def _cells(form: tuple, dirs: np.ndarray, weight: float) -> np.ndarray:
-    """Conditional entropy of G measurements with K effects weight (1 + n.sigma).
+# math stand-ins for the numpy calls the kernel makes, so the Nelder-Mead
+# objective runs the same formula on plain floats
+_SCALAR = SimpleNamespace(sin=math.sin, cos=math.cos, sqrt=math.sqrt, log2=math.log2,
+                          minimum=min, where=lambda c, a, b: a if c else b)
 
-    dirs has shape (3, K, G). Effect n leaves the unmeasured qubit with
-    outcome weight p = weight (Tr rho + m.n) and eigenvalues
-    (p +- weight |u + T n|) / 2, so its larger normalized eigenvalue lam
-    lies in [1/2, 1] and the entropy is p h(lam). Products are elementwise,
-    never a matmul, so a cell's value does not depend on how many cells are
-    evaluated. Outcomes with p <= TRACE_FLOOR contribute nothing.
+
+def _effect_entropy(form: tuple, n0, n1, n2, weight: float, xp=np):
+    """Probability times conditional entropy for the effect weight (1 + n.sigma).
+
+    The unmeasured qubit is left with weight p = weight (Tr rho + m.n) and
+    eigenvalues (p +- weight |u + T n|) / 2, where m and u are the measured
+    and unmeasured Bloch vectors; outcomes with p <= TRACE_FLOOR count 0.
+    Runs elementwise on arrays (xp = numpy) or floats (xp = _SCALAR); with
+    no matmul, a cell's value does not depend on how many cells there are.
     """
-    c0, c1, c2, c3 = form
-    w = c0 + c1 * dirs[0] + c2 * dirs[1] + c3 * dirs[2]
-    p = weight * w[0]
-    spread = weight * np.sqrt((w[1:] * w[1:]).sum(axis=0))
+    (r00, m0, m1, m2), (u0, t00, t01, t02), (u1, t10, t11, t12), (u2, t20, t21, t22) = form
+    p = weight * (r00 + m0 * n0 + m1 * n1 + m2 * n2)
+    v0 = u0 + t00 * n0 + t01 * n1 + t02 * n2
+    v1 = u1 + t10 * n0 + t11 * n1 + t12 * n2
+    v2 = u2 + t20 * n0 + t21 * n1 + t22 * n2
+    spread = weight * xp.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
     live = p > TRACE_FLOOR
-    lam = np.minimum(np.maximum((p + spread) / (2.0 * np.where(live, p, 1.0)), 0.5), 1.0)
+    safe = xp.where(live, p, 1.0)
+    lam = xp.minimum((safe + spread) / (2.0 * safe), 1.0)
     q = 1.0 - lam  # q log2 q is taken as 0 at q = 0
-    h = -(lam * np.log2(lam) + q * np.log2(q + (q == 0.0)))
-    return np.where(live, p * h, 0.0).sum(axis=0)
+    h = -(lam * xp.log2(lam) + q * xp.log2(q + (q == 0.0)))
+    return xp.where(live, p * h, 0.0)
 
 
-_SIGNS = np.array([[1.0], [-1.0]])
-
-
-def _pair_cells(form: tuple, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Conditional entropy of the projective pair along each (theta, phi)."""
-    st = np.sin(theta)
-    n = np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
-    return _cells(form, n[:, None] * _SIGNS, 0.5)
-
-
-def _trine_grid_min(form: tuple, n_theta: int = 16, n_phi: int = 32,
-                    n_spin: int = 12) -> tuple[float, int]:
-    """Minimum conditional entropy over a grid of trine measurements.
-
-    Each trine: three effects (1 + m_k.sigma)/3 with coplanar unit vectors
-    m_k at 120 degrees; the plane normal sweeps the sphere and the trine
-    spins inside the plane.
-    """
-    th = np.linspace(0.0, pi, n_theta)
-    ph = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
-    al = np.linspace(0.0, 2.0 * pi / 3.0, n_spin, endpoint=False)
-    T, P, A = (x.ravel() for x in np.meshgrid(th, ph, al, indexing='ij'))
-    ct, st, cp, sp = np.cos(T), np.sin(T), np.cos(P), np.sin(P)
-    e1 = np.stack([ct * cp, ct * sp, -st])
-    e2 = np.stack([-sp, cp, np.zeros_like(sp)])
-    ang = A + 2.0 * pi * np.arange(3)[:, None] / 3.0
-    dirs = np.cos(ang) * e1[:, None] + np.sin(ang) * e2[:, None]
-    return float(_cells(form, dirs, 1.0 / 3.0).min()), len(T)
+def _pair_entropy(form: tuple, theta, phi, xp=np):
+    """Conditional entropy of the projective pair along (theta, phi)."""
+    st = xp.sin(theta)
+    n0, n1, n2 = st * xp.cos(phi), st * xp.sin(phi), xp.cos(theta)
+    return (_effect_entropy(form, n0, n1, n2, 0.5, xp)
+            + _effect_entropy(form, -n0, -n1, -n2, 0.5, xp))
 
 
 def _canonical_angles(theta: float, phi: float) -> BlochAngles:
@@ -199,14 +181,13 @@ def _min_conditional_entropy(rho4: np.ndarray, measured: int,
     form = _bloch_form(rho4, measured)
     thetas = (pi / 2.0) * np.arange(cfg.grid_theta) / cfg.grid_theta
     phis = (2.0 * pi) * np.arange(cfg.grid_phi) / cfg.grid_phi
-    tg, pg = np.meshgrid(thetas, phis, indexing='ij')
-    values = _pair_cells(form, tg.ravel(), pg.ravel()).reshape(tg.shape)
+    values = _pair_entropy(form, thetas[:, None], phis[None, :])
     flat = int(np.argmin(values))
     i, j = divmod(flat, cfg.grid_phi)
     evals = values.size
 
     def objective(x):
-        return _pair_cells(form, x[:1], x[1:])[0]
+        return _pair_entropy(form, x[0], x[1], _SCALAR)
 
     res = minimize(objective, x0=[thetas[i], phis[j]], method='Nelder-Mead',
                    options=dict(maxiter=cfg.refine_iters, fatol=cfg.refine_tol,
@@ -225,6 +206,28 @@ def _min_conditional_entropy(rho4: np.ndarray, measured: int,
     return best, angles, evals
 
 
+def _trine_grid_min(form: tuple, n_theta: int = 16, n_phi: int = 32,
+                    n_spin: int = 12) -> tuple[float, int]:
+    """Minimum conditional entropy over a grid of trine measurements.
+
+    Each trine: three effects (1 + m_k.sigma)/3 with coplanar unit vectors
+    m_k at 120 degrees; the plane normal sweeps the sphere and the trine
+    spins inside the plane.
+    """
+    th = np.linspace(0.0, pi, n_theta)
+    ph = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
+    al = np.linspace(0.0, 2.0 * pi / 3.0, n_spin, endpoint=False)
+    T, P, A = (x.ravel() for x in np.meshgrid(th, ph, al, indexing='ij'))
+    ct, st, cp, sp = np.cos(T), np.sin(T), np.cos(P), np.sin(P)
+    e1 = np.stack([ct * cp, ct * sp, -st])
+    e2 = np.stack([-sp, cp, np.zeros_like(sp)])
+    total = 0.0
+    for k in range(3):
+        ang = A + 2.0 * pi * k / 3.0
+        total += _effect_entropy(form, *(np.cos(ang) * e1 + np.sin(ang) * e2), 1.0 / 3.0)
+    return float(total.min()), len(T)
+
+
 def _require_two_qubits(rho: DensityMatrix):
     if rho.dims != (2, 2):
         raise DimMismatchError(f"two-qubit state required, got dims {rho.dims}")
@@ -237,8 +240,7 @@ def _direction_name(measured: int) -> str:
 
 
 class _SideMinimum(NamedTuple):
-    """One conditional-entropy minimization of a two-qubit state with one
-    qubit measured; J and D are both read off it."""
+    """One minimization of a two-qubit state; J and D are both read off it."""
 
     rho: DensityMatrix
     direction: str
@@ -263,8 +265,7 @@ class _SideMinimum(NamedTuple):
 
 def _minimize_side(rho: DensityMatrix, measured: int,
                    cfg: OptimizerConfig | None) -> _SideMinimum:
-    """S(unmeasured), S(measured), S(rho) and the minimal conditional
-    entropy with its direction and evaluation count."""
+    """The entropies J and D need, and the minimal conditional entropy."""
     _require_two_qubits(rho)
     direction = _direction_name(measured)
     s_u = von_neumann_entropy(partial_trace(rho, [measured]))

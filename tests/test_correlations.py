@@ -30,9 +30,10 @@ from qcorr import (
 from qcorr.correlations import (
     RESIDUAL_HIGH,
     RESIDUAL_LOW,
+    _SCALAR,
     _bloch_form,
-    _cells,
-    _pair_cells,
+    _effect_entropy,
+    _pair_entropy,
 )
 from qcorr.exceptions import (
     BadPermutationError,
@@ -273,10 +274,12 @@ def test_kernel_matches_scalar_conditional_entropy(pair_pre, pair_post, bell_pai
         for measured in (0, 1):
             form = _bloch_form(target.mat, measured)
             for theta, phi in [(0.0, 0.0), (0.7, 1.9), (1.4, 5.0), (math.pi / 2, math.pi)]:
-                cell = _pair_cells(form, np.array([theta]), np.array([phi]))[0]
+                cell = _pair_entropy(form, np.array([theta]), np.array([phi]))[0]
+                on_floats = _pair_entropy(form, theta, phi, _SCALAR)
                 scalar = conditional_entropy(
                     target, projective_pair(BlochAngles(theta, phi)), measured)
                 assert abs(cell - scalar) < 1e-12
+                assert abs(on_floats - scalar) < 1e-12
     # one trine: three coplanar effects (1 + v_k.sigma)/3 at 120 degrees in a tilted plane
     e1 = np.array([math.cos(0.4), 0.0, -math.sin(0.4)])
     e2 = np.array([0.0, 1.0, 0.0])
@@ -284,8 +287,8 @@ def test_kernel_matches_scalar_conditional_entropy(pair_pre, pair_post, bell_pai
             for k in range(3)]
     sigma = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
     trine = Povm(tuple((np.eye(2) + sum(v[i] * sigma[i] for i in range(3))) / 3.0 for v in vecs))
-    dirs = np.array(vecs).T[:, :, None]  # (component, effect, measurement)
     for target in (pair_post, targets[-1]):
         for measured in (0, 1):
-            cell = _cells(_bloch_form(target.mat, measured), dirs, 1.0 / 3.0)[0]
+            form = _bloch_form(target.mat, measured)
+            cell = sum(_effect_entropy(form, *v, 1.0 / 3.0) for v in vecs)
             assert abs(cell - conditional_entropy(target, trine, measured)) < 1e-12
