@@ -5,7 +5,8 @@ entropy bookkeeping identity on pure three-qubit states.
 J and D of a (state, measured qubit) share one conditional-entropy
 minimization. It reads the state once into its Bloch form, and one
 elementwise kernel prices each measurement direction in a few flops: on
-numpy arrays for the grids, on floats for the Nelder-Mead objective.
+numpy arrays for the coarse grid, and on floats as the objective of the
+refinement, an in-module Nelder-Mead on floats.
 discord_oracle_grid re-derives everything through a separate brute-force
 route (embedded effects, index-by-index partial traces) so the two can
 certify each other.
@@ -15,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 from math import pi
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .entropy import binary_entropy, mutual_information, von_neumann_entropy
 from .exceptions import (
@@ -174,6 +175,71 @@ def _canonical_angles(theta: float, phi: float) -> BlochAngles:
     return BlochAngles(theta, phi)
 
 
+class NelderMeadResult(NamedTuple):
+    x: tuple
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+
+
+def _along(a: float, xbar: tuple, b: float, w: tuple) -> tuple:
+    # a xbar - b w per coordinate: reflect (2, 1), expand (3, 2), contract
+    # outside (1.5, 0.5) or inside (0.5, -0.5), exactly as scipy rounds them
+    return tuple(a * c - b * v for c, v in zip(xbar, w))
+
+
+def minimize(fun, x0, *, maxiter: int, xatol: float, fatol: float) -> NelderMeadResult:
+    """Nelder-Mead on float tuples, step for step scipy's method='Nelder-Mead'
+    with its defaults (adaptive=False, no bounds, no maxfev).
+
+    The initial simplex, the reflect/expand/contract/shrink coefficients
+    (1, 2, 1/2, 1/2) and the arithmetic order are scipy's, and vertices are
+    sorted stably by value after every step. On one or two coordinates,
+    where numpy's argsort of three values is stable too, x, fun, nfev and
+    nit come out bit-identical to scipy's. success means the xatol and
+    fatol tests passed before maxiter iterations.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(x)
+
+    x0 = tuple(map(float, x0))
+    sim = [x0] + [x0[:k] + (1.05 * c if c != 0 else 0.00025,) + x0[k + 1:]
+                  for k, c in enumerate(x0)]
+    verts = sorted(((f(x), x) for x in sim), key=itemgetter(0))
+    nit = 1
+    while nit < maxiter:
+        (f0, best), (fw, worst) = verts[0], verts[-1]
+        if (max(abs(c - b) for _, x in verts[1:] for c, b in zip(x, best)) <= xatol
+                and max(abs(f0 - fx) for fx, _ in verts[1:]) <= fatol):
+            break
+        xbar = tuple(sum(col[1:], col[0]) / len(x0) for col in zip(*(x for _, x in verts[:-1])))
+        xr = _along(2, xbar, 1, worst)
+        fr = f(xr)
+        if fr < f0:
+            xe = _along(3, xbar, 2, worst)
+            fe = f(xe)
+            verts[-1] = (fe, xe) if fe < fr else (fr, xr)
+        elif fr < verts[-2][0]:
+            verts[-1] = (fr, xr)
+        else:
+            outside = fr < fw
+            xc = _along(1.5, xbar, 0.5, worst) if outside else _along(0.5, xbar, -0.5, worst)
+            fc = f(xc)
+            if (fc <= fr) if outside else (fc < fw):
+                verts[-1] = (fc, xc)
+            else:  # shrink every vertex halfway toward the best
+                verts[1:] = [(f(x), x) for x in (
+                    tuple(b + 0.5 * (c - b) for c, b in zip(x, best)) for _, x in verts[1:])]
+        nit += 1
+        verts.sort(key=itemgetter(0))
+    return NelderMeadResult(verts[0][1], verts[0][0], nfev, nit, nit < maxiter)
+
+
 def _min_conditional_entropy(rho4: np.ndarray, measured: int,
                              cfg: OptimizerConfig) -> tuple[float, BlochAngles, int]:
     """Coarse grid then Nelder-Mead; ties break to the lowest theta row,
@@ -189,12 +255,11 @@ def _min_conditional_entropy(rho4: np.ndarray, measured: int,
     def objective(x):
         return _pair_entropy(form, x[0], x[1], _SCALAR)
 
-    res = minimize(objective, x0=[thetas[i], phis[j]], method='Nelder-Mead',
-                   options=dict(maxiter=cfg.refine_iters, fatol=cfg.refine_tol,
-                                xatol=REFINE_XATOL))
-    evals += int(res.nfev)
+    res = minimize(objective, (thetas[i], phis[j]), maxiter=cfg.refine_iters,
+                   xatol=REFINE_XATOL, fatol=cfg.refine_tol)
+    evals += res.nfev
     if res.fun < values[i, j]:
-        best, angles = float(res.fun), _canonical_angles(res.x[0], res.x[1])
+        best, angles = res.fun, _canonical_angles(*res.x)
     else:
         best, angles = float(values[i, j]), _canonical_angles(thetas[i], phis[j])
     if cfg.trine_sweep:
@@ -243,10 +308,9 @@ class _SideMinimum(NamedTuple):
     """One minimization of a two-qubit state; J and D are both read off it."""
 
     rho: DensityMatrix
+    measured: int
     direction: str
     s_u: float
-    s_m: float
-    s_full: float
     best: float
     angles: BlochAngles
     evals: int
@@ -255,7 +319,8 @@ class _SideMinimum(NamedTuple):
         return DirectionalMeasure(self.s_u - self.best, self.direction, self.angles, self.evals)
 
     def discord(self) -> DirectionalMeasure:
-        value = self.s_m - self.s_full + self.best
+        s_m = von_neumann_entropy(partial_trace(self.rho, [1 - self.measured]))
+        value = s_m - von_neumann_entropy(self.rho) + self.best
         cross = mutual_information(self.rho, [0]) - (self.s_u - self.best)
         if abs(value - cross) > DISCORD_CROSS_TOL:
             raise ConsistencyError(
@@ -265,14 +330,13 @@ class _SideMinimum(NamedTuple):
 
 def _minimize_side(rho: DensityMatrix, measured: int,
                    cfg: OptimizerConfig | None) -> _SideMinimum:
-    """The entropies J and D need, and the minimal conditional entropy."""
+    """S(unmeasured) and the minimal conditional entropy; discord() adds
+    the two entropies only it needs."""
     _require_two_qubits(rho)
     direction = _direction_name(measured)
     s_u = von_neumann_entropy(partial_trace(rho, [measured]))
-    s_m = von_neumann_entropy(partial_trace(rho, [1 - measured]))
-    s_full = von_neumann_entropy(rho)
     best, angles, evals = _min_conditional_entropy(rho.mat, measured, cfg or OptimizerConfig())
-    return _SideMinimum(rho, direction, s_u, s_m, s_full, best, angles, evals)
+    return _SideMinimum(rho, measured, direction, s_u, best, angles, evals)
 
 
 def classical_correlation(rho: DensityMatrix, measured: int,

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qcorr
 from qcorr import density_to_json, pure_to_json, random_pure_state
 from qcorr.cli import main
 
@@ -240,3 +242,15 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert result.returncode in (0, 1)
     json.loads(result.stdout)  # stdout holds only the document
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(qcorr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, qcorr, qcorr.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -28,12 +28,14 @@ from qcorr import (
     binary_entropy,
 )
 from qcorr.correlations import (
+    REFINE_XATOL,
     RESIDUAL_HIGH,
     RESIDUAL_LOW,
     _SCALAR,
     _bloch_form,
     _effect_entropy,
     _pair_entropy,
+    minimize,
 )
 from qcorr.exceptions import (
     BadPermutationError,
@@ -49,6 +51,18 @@ FAST = OptimizerConfig(grid_theta=24, grid_phi=48, refine_iters=120, refine_tol=
 def random_mixed_pair(seed: int) -> DensityMatrix:
     # tracing half of a random pure (2,2,4) state gives a full-rank pair
     return partial_trace(density_from_pure(random_pure_state((2, 2, 4), seed)), [2])
+
+
+def product_pair() -> DensityMatrix:
+    return DensityMatrix(kron(np.diag([0.8, 0.2]), np.full((2, 2), 0.5)).astype(complex), (2, 2))
+
+
+def near_floor_pair() -> DensityMatrix:
+    # measuring qubit 0 along z gives outcome 1 with probability 3e-12, just
+    # above PROB_FLOOR, and that outcome leaves qubit 1 maximally mixed, so
+    # skipping it would cost 3e-12
+    delta = 3e-12
+    return DensityMatrix(np.diag([1.0 - delta, 0.0, delta / 2, delta / 2]).astype(complex), (2, 2))
 
 
 def test_optimizer_config_validation():
@@ -261,15 +275,8 @@ def test_trine_sweep_leaves_value_unchanged(pair_post):
 
 
 def test_kernel_matches_scalar_conditional_entropy(pair_pre, pair_post, bell_pair):
-    # near_floor: measuring qubit 0 along z gives outcome 1 with probability
-    # 3e-12, just above PROB_FLOOR, and that outcome leaves qubit 1 maximally
-    # mixed, so skipping it would cost 3e-12
-    delta = 3e-12
-    near_floor = DensityMatrix(np.diag([1.0 - delta, 0.0, delta / 2, delta / 2]).astype(complex),
-                               (2, 2))
-    product = DensityMatrix(kron(np.diag([0.8, 0.2]), np.full((2, 2), 0.5)).astype(complex),
-                            (2, 2))
-    targets = (pair_pre, pair_post, bell_pair, product, near_floor, random_mixed_pair(400))
+    targets = (pair_pre, pair_post, bell_pair, product_pair(), near_floor_pair(),
+               random_mixed_pair(400))
     for target in targets:
         for measured in (0, 1):
             form = _bloch_form(target.mat, measured)
@@ -292,3 +299,29 @@ def test_kernel_matches_scalar_conditional_entropy(pair_pre, pair_post, bell_pai
             form = _bloch_form(target.mat, measured)
             cell = sum(_effect_entropy(form, *v, 1.0 / 3.0) for v in vecs)
             assert abs(cell - conditional_entropy(target, trine, measured)) < 1e-12
+
+
+def test_nelder_mead_matches_scipy(pair_pre, pair_post):
+    optimize = pytest.importorskip("scipy.optimize")
+    targets = (pair_pre, pair_post, product_pair(), near_floor_pair(),
+               *(random_mixed_pair(seed) for seed in (401, 402, 403)))
+    # (0, 1.3) and (0, 0) take the 0.00025 step on a zero coordinate; 4
+    # iterations cannot converge, so success must be False on both sides
+    starts = (((0.7, 1.9), 200), ((0.0, 1.3), 200), ((0.0, 0.0), 200), ((1.4, 5.0), 4))
+    outcomes = set()
+    for target in targets:
+        for measured in (0, 1):
+            form = _bloch_form(target.mat, measured)
+
+            def objective(x):
+                return _pair_entropy(form, x[0], x[1], _SCALAR)
+
+            for x0, maxiter in starts:
+                opts = dict(maxiter=maxiter, xatol=REFINE_XATOL, fatol=1e-10)
+                ours = minimize(objective, x0, **opts)
+                ref = optimize.minimize(objective, x0, method="Nelder-Mead", options=opts)
+                assert ours.x == tuple(ref.x.tolist())
+                assert (ours.fun, ours.nfev, ours.nit) == (ref.fun, ref.nfev, ref.nit)
+                assert ours.success == bool(ref.success)
+                outcomes.add((maxiter, ours.success))
+    assert outcomes == {(200, True), (4, False)}
