@@ -3,10 +3,13 @@ entanglement of formation for two-qubit states, and the residual of the
 entropy bookkeeping identity on pure three-qubit states.
 
 J and D of a (state, measured qubit) share one conditional-entropy
-minimization. It reads the state once into its Bloch form, and one
-elementwise kernel prices each measurement direction in a few flops: on
-numpy arrays for the coarse grid, and on floats as the objective of the
-refinement, an in-module Nelder-Mead on floats.
+minimization, memoized on the DensityMatrix object per (measured qubit,
+OptimizerConfig), so a later J or D on the same object reuses it. It reads
+the state once into its Bloch form, and one elementwise kernel prices each
+measurement direction in a few flops: on numpy arrays for the coarse grid,
+and on floats as the objective of the refinement, an in-module Nelder-Mead
+on floats. Entropies read the spectrum each DensityMatrix kept from its
+validation, and the concurrence takes eigenvalues only.
 discord_oracle_grid re-derives everything through a separate brute-force
 route (embedded effects, index-by-index partial traces) so the two can
 certify each other.
@@ -28,9 +31,10 @@ from .exceptions import (
     BadSubsystemError,
     ConsistencyError,
     DimMismatchError,
+    NotHermitianError,
     OutOfRangeError,
 )
-from .linalg import eig_hermitian, kron, psd_sqrt
+from .linalg import HERM_TOL, hermiticity_defect, kron, psd_sqrt
 from .measurement import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochAngles
 from .states import (
     DensityMatrix,
@@ -42,6 +46,7 @@ from .states import (
 
 _I2 = np.eye(2, dtype=complex)
 _PAULI = np.stack([_I2, SIGMA_X, SIGMA_Y, SIGMA_Z])
+_YY = kron(SIGMA_Y, SIGMA_Y)
 
 # identity-audit residuals must land in this window at default config
 RESIDUAL_LOW = -1e-6
@@ -330,13 +335,17 @@ class _SideMinimum(NamedTuple):
 
 def _minimize_side(rho: DensityMatrix, measured: int,
                    cfg: OptimizerConfig | None) -> _SideMinimum:
-    """S(unmeasured) and the minimal conditional entropy; discord() adds
-    the two entropies only it needs."""
+    """S(unmeasured) and the minimal conditional entropy, computed once per
+    (rho object, measured, cfg) and then read from rho's memo; discord()
+    adds the two entropies only it needs."""
     _require_two_qubits(rho)
     direction = _direction_name(measured)
-    s_u = von_neumann_entropy(partial_trace(rho, [measured]))
-    best, angles, evals = _min_conditional_entropy(rho.mat, measured, cfg or OptimizerConfig())
-    return _SideMinimum(rho, measured, direction, s_u, best, angles, evals)
+    key = (measured, cfg or OptimizerConfig())
+    found = rho._minima.get(key)
+    if found is None:
+        s_u = von_neumann_entropy(partial_trace(rho, [measured]))
+        found = rho._minima[key] = (s_u, *_min_conditional_entropy(rho.mat, measured, key[1]))
+    return _SideMinimum(rho, measured, direction, *found)
 
 
 def classical_correlation(rho: DensityMatrix, measured: int,
@@ -412,10 +421,13 @@ def concurrence(rho: DensityMatrix) -> float:
     eigenvalue square roots are the usual lambdas.
     """
     _require_two_qubits(rho)
-    yy = kron(SIGMA_Y, SIGMA_Y)
-    flipped = yy @ rho.mat.conj() @ yy
+    flipped = _YY @ rho.mat.conj() @ _YY
     root = psd_sqrt(rho.mat)
-    lam2 = eig_hermitian(root @ flipped @ root).eigenvalues
+    product = root @ flipped @ root
+    defect = hermiticity_defect(product)
+    if defect > HERM_TOL:
+        raise NotHermitianError(f"matrix is not Hermitian (defect {defect:.3e})")
+    lam2 = np.linalg.eigh(product)[0]  # eigenvalues only; no vectors to phase-fix
     lam = np.sqrt(np.clip(lam2, 0.0, None))[::-1]
     c = lam[0] - lam[1] - lam[2] - lam[3]
     return float(min(max(c, 0.0), 1.0))

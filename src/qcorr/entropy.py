@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import BadSubsystemError, NotPSDError, OutOfRangeError
-from .linalg import EIG_CLAMP, eig_hermitian
+from .linalg import EIG_CLAMP
 from .states import DensityMatrix, partial_trace
 
 # binary_entropy tolerates this much float drift past the [0, 1] endpoints
@@ -22,8 +22,8 @@ def entropy_of_spectrum(eigenvalues) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -Tr[rho log2 rho] in bits."""
-    return entropy_of_spectrum(eig_hermitian(rho.mat).eigenvalues)
+    """S(rho) = -Tr[rho log2 rho] in bits, from the spectrum kept by rho."""
+    return entropy_of_spectrum(rho.spectrum)
 
 
 def binary_entropy(x: float) -> float:

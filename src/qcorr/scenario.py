@@ -14,7 +14,13 @@ from math import atanh, log, sqrt
 
 import numpy as np
 
-from .correlations import OptimizerConfig, _minimize_side, concurrence, eof_two_qubits
+from .correlations import (
+    OptimizerConfig,
+    classical_correlation,
+    concurrence,
+    discord,
+    eof_two_qubits,
+)
 from .entropy import mutual_information, von_neumann_entropy
 from .linalg import frobenius_distance, kron
 from .measurement import apply_filter, apply_global_operator
@@ -90,12 +96,12 @@ def build_report(psi: PureState, stage: str, cfg: OptimizerConfig | None = None,
         bipartitions[name] = von_neumann_entropy(pair)
         eofs[name] = eof_two_qubits(pair)
         # factor order inside the pair follows (i, j), so measured=0 hits
-        # LABELS[i] and measured=1 hits LABELS[j]; J and D share one minimization
+        # LABELS[i] and measured=1 hits LABELS[j]; J and D share one
+        # minimization through the memo on `pair`
         for pos, measured_label in ((0, LABELS[i]), (1, LABELS[j])):
             key = f"{name}_measure{measured_label}"
-            side = _minimize_side(pair, pos, cfg)
-            j_vals[key] = side.classical_correlation().value
-            d_vals[key] = side.discord().value
+            j_vals[key] = classical_correlation(pair, pos, cfg).value
+            d_vals[key] = discord(pair, pos, cfg).value
     kw = {
         "ABC": marginals["A"] - eofs["AB"] - j_vals["AC_measureC"],
         "BCA": marginals["B"] - eofs["BC"] - j_vals["AB_measureA"],

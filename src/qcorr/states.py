@@ -4,6 +4,13 @@ Index convention: subsystem 0 is the most significant index, so a basis
 row index r of a state on dims (d0, d1, ...) decodes as the mixed-radix
 digits (r0, r1, ...) with r0 for subsystem 0. kron() follows the same
 convention (left factor most significant).
+
+A DensityMatrix keeps the eigenvalues its PSD check computed as
+`spectrum`, so entropies need no second eigendecomposition. It also
+carries a private per-instance dict in which qcorr.correlations memoizes
+each conditional-entropy minimization, so J and D on one state object
+share one minimization. Neither takes part in repr or ==, and the memo
+holds numbers only, never a state.
 """
 from __future__ import annotations
 
@@ -33,11 +40,16 @@ class DensityMatrix:
     """A validated density matrix with a subsystem dimension list.
 
     Construction rejects non-Hermitian matrices, trace away from 1, and
-    eigenvalues below -1e-10.
+    eigenvalues below -1e-10. The eigenvalues are kept, ascending and
+    read-only, as `spectrum`.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...] = field(default=())
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    # (measured, OptimizerConfig) -> (S_u, best, angles, evals), filled by
+    # qcorr.correlations; numbers only, so no reference cycle through the state
+    _minima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = as_square(self.mat, "density matrix")
@@ -49,11 +61,14 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise QcorrError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        evs = np.linalg.eigvalsh(m)
+        # eigh, not eigvalsh: entropies read these values, and eigvalsh's can
+        # differ from eigh's in the last bits
+        evs = np.linalg.eigh(m)[0]
         if evs[0] < -EIG_CLAMP:
             raise NotPSDError(f"density matrix has eigenvalue {evs[0]:.3e} < -{EIG_CLAMP}")
         object.__setattr__(self, "mat", _freeze(m.copy()))
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spectrum", _freeze(evs))
 
     @property
     def dim(self) -> int:

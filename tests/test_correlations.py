@@ -1,7 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+
+import qcorr.correlations
 
 from qcorr import (
     AuditSummary,
@@ -63,6 +67,42 @@ def near_floor_pair() -> DensityMatrix:
     # skipping it would cost 3e-12
     delta = 3e-12
     return DensityMatrix(np.diag([1.0 - delta, 0.0, delta / 2, delta / 2]).astype(complex), (2, 2))
+
+
+def test_minimization_shared_per_state_object(monkeypatch):
+    calls = []
+    real_minimize = qcorr.correlations.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(qcorr.correlations, "minimize", counting)
+    mat = random_mixed_pair(7).mat
+    rho = DensityMatrix(mat, (2, 2))
+    before = repr(rho)
+    first = {side: (discord(rho, side), classical_correlation(rho, side)) for side in (0, 1)}
+    for side in (0, 1):
+        assert (discord(rho, side), classical_correlation(rho, side, OptimizerConfig())) == first[side]
+    assert len(calls) == 2
+    discord(rho, 0, FAST)
+    classical_correlation(rho, 0, FAST)
+    assert len(calls) == 3
+    twin = DensityMatrix(mat, (2, 2))
+    for side in (0, 1):
+        assert (discord(twin, side), classical_correlation(twin, side)) == first[side]
+    assert len(calls) == 5
+    assert repr(rho) == before
+
+    # the memo holds numbers only: with the collector off, refcounting alone
+    # must free a state whose J and D were computed
+    gc.disable()
+    try:
+        ref = weakref.ref(twin)
+        del twin
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_optimizer_config_validation():

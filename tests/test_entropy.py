@@ -13,6 +13,8 @@ from qcorr import (
 )
 from qcorr.exceptions import BadSubsystemError, NotPSDError, OutOfRangeError
 from qcorr.entropy import entropy_of_spectrum
+from qcorr.linalg import eig_hermitian
+from qcorr.measurement import PROB_FLOOR
 
 
 def test_entropy_pure_and_mixed():
@@ -30,6 +32,39 @@ def test_entropy_of_spectrum_clamps_and_rejects():
     assert entropy_of_spectrum([1.0, -5e-11]) == 0.0
     with pytest.raises(NotPSDError):
         entropy_of_spectrum([1.1, -0.1])
+
+
+def _rotated(rng, spectrum):
+    # U diag(spectrum) U^dagger with U from the QR of a complex Ginibre matrix
+    d = len(spectrum)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return (q * np.asarray(spectrum, dtype=float)) @ q.conj().T
+
+
+def test_entropy_reads_kept_spectrum_exactly():
+    # the spectrum kept at validation must give the entropy bit for bit as
+    # the full eigendecomposition of the same matrix does
+    rng = np.random.default_rng(2024)
+    for dims in ((2,), (2, 2), (2, 2, 2)):
+        d = int(np.prod(dims))
+        mats = []
+        for rank in range(1, d + 1):
+            g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+            m = g @ g.conj().T
+            mats.append(m / np.trace(m).real)
+        base = np.full(d, 1.0 / d)
+        base[: d // 2] += 1e-13  # near-degenerate pairs, still unit trace
+        base[d // 2: 2 * (d // 2)] -= 1e-13
+        mats.append(_rotated(rng, base))
+        floor = np.zeros(d)
+        floor[0], floor[1] = 1.0 - 3 * PROB_FLOOR, 3 * PROB_FLOOR
+        mats.append(_rotated(rng, floor))
+        for m in mats:
+            rho = DensityMatrix(m, dims)
+            ref = eig_hermitian(rho.mat).eigenvalues
+            assert np.array_equal(rho.spectrum, ref)
+            assert von_neumann_entropy(rho) == entropy_of_spectrum(ref)
+            assert not rho.spectrum.flags.writeable
 
 
 def test_binary_entropy_cases(entropy_constant):

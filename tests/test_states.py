@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dataclasses import fields
+
 from qcorr import (
     DensityMatrix,
     PureState,
@@ -173,6 +175,22 @@ def test_validation_rejects():
         PureState(np.array([1.0, 1.0]), (2,))  # norm sqrt(2)
     with pytest.raises(DimMismatchError):
         DensityMatrix(np.eye(4) / 4, (2, 3))
+
+
+def test_psd_boundary():
+    # eigenvalues down to -1e-10 are float noise; below that is an error
+    with pytest.raises(NotPSDError):
+        DensityMatrix(np.diag([1.0 + 2e-10, -2e-10]), (2,))
+    rho = DensityMatrix(np.diag([1.0 + 0.5e-10, -0.5e-10]), (2,))
+    assert rho.spectrum[0] == -0.5e-10
+
+
+def test_kept_spectrum_leaves_repr_and_eq_alone(pair_post):
+    assert [f.name for f in fields(DensityMatrix) if f.compare] == ["mat", "dims"]
+    assert [f.name for f in fields(DensityMatrix) if f.repr] == ["mat", "dims"]
+    assert repr(pair_post) == f"DensityMatrix(mat={pair_post.mat!r}, dims={pair_post.dims!r})"
+    with pytest.raises(AttributeError):
+        pair_post.spectrum = np.zeros(4)
 
 
 def test_bipartition_entropies_agree_on_pure_states():
