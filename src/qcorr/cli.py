@@ -41,10 +41,10 @@ def _positive_int(text: str) -> int:
 
 
 def _optimizer_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--grid-theta", type=int, default=64, metavar="N",
-                        help="coarse grid rows over theta in [0, pi/2] (default 64)")
-    parser.add_argument("--grid-phi", type=int, default=128, metavar="N",
-                        help="coarse grid columns over phi in [0, 2*pi) (default 128)")
+    parser.add_argument("--grid-theta", type=int, default=32, metavar="N",
+                        help="coarse grid rows over theta in [0, pi/2] (default 32)")
+    parser.add_argument("--grid-phi", type=int, default=64, metavar="N",
+                        help="coarse grid columns over phi in [0, 2*pi) (default 64)")
     parser.add_argument("--refine-iters", type=int, default=200, metavar="N",
                         help="Nelder-Mead iteration cap (default 200)")
     parser.add_argument("--refine-tol", type=float, default=1e-10, metavar="X",

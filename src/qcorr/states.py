@@ -10,7 +10,8 @@ A DensityMatrix keeps the eigenvalues its PSD check computed as
 carries a private per-instance dict in which qcorr.correlations memoizes
 each conditional-entropy minimization, so J and D on one state object
 share one minimization. Neither takes part in repr or ==, and the memo
-holds numbers only, never a state.
+holds numbers only, never a state. Two DensityMatrix objects are == when
+their dims and mat entries are equal; a DensityMatrix is not hashable.
 """
 from __future__ import annotations
 
@@ -69,6 +70,15 @@ class DensityMatrix:
         object.__setattr__(self, "mat", _freeze(m.copy()))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spectrum", _freeze(evs))
+
+    def __eq__(self, other):
+        # the generated == would take the truth value of an elementwise array ==
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.mat, other.mat)
+
+    def __hash__(self):
+        raise TypeError("unhashable type: 'DensityMatrix' (it wraps an ndarray)")
 
     @property
     def dim(self) -> int:

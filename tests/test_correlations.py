@@ -48,6 +48,7 @@ from qcorr.exceptions import (
     OutOfRangeError,
 )
 from qcorr.scenario import filter_e, ghz3
+from qcorr.states import sample_pure_state
 
 FAST = OptimizerConfig(grid_theta=24, grid_phi=48, refine_iters=120, refine_tol=1e-10)
 
@@ -67,6 +68,65 @@ def near_floor_pair() -> DensityMatrix:
     # skipping it would cost 3e-12
     delta = 3e-12
     return DensityMatrix(np.diag([1.0 - delta, 0.0, delta / 2, delta / 2]).astype(complex), (2, 2))
+
+
+def random_unitary(rng, d: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def random_qubit(rng) -> np.ndarray:
+    r = rng.normal(size=3)
+    r *= rng.uniform(0.0, 1.0) / np.linalg.norm(r)
+    return 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1 - r[2]]])
+
+
+def adversarial_pairs(seed: int, per_kind: int) -> list[DensityMatrix]:
+    """Seeded two-qubit states whose landscapes are hard on a coarse grid:
+    X states, near-degenerate spectra, ranks 2 and 4, products, and an
+    outcome probability just above PROB_FLOOR along a random direction."""
+    rng = np.random.default_rng(seed)
+
+    def x_state():
+        a, b, c, d = rng.dirichlet(np.ones(4))
+        w = rng.uniform() * math.sqrt(a * d) * np.exp(2j * math.pi * rng.uniform())
+        z = rng.uniform() * math.sqrt(b * c) * np.exp(2j * math.pi * rng.uniform())
+        return np.array([[a, 0, 0, w], [0, b, z, 0], [0, np.conj(z), c, 0], [np.conj(w), 0, 0, d]])
+
+    def near_degenerate():
+        u = random_unitary(rng, 4)
+        return (u * (0.25 + 1e-7 * rng.normal(size=4))) @ u.conj().T
+
+    def traced(env: int):
+        return partial_trace(density_from_pure(sample_pure_state((2, 2, env), rng)), [2]).mat
+
+    def near_floor():
+        delta = 10.0 ** rng.uniform(-11.5, -10.0)
+        u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        return u @ np.diag([1.0 - delta, 0.0, delta / 2, delta / 2]) @ u.conj().T
+
+    kinds = (x_state, near_degenerate, lambda: traced(2), lambda: traced(4),
+             lambda: kron(random_qubit(rng), random_qubit(rng)), near_floor)
+    out = []
+    for kind in kinds:
+        for _ in range(per_kind):
+            m = kind()
+            m = (m + m.conj().T) / 2
+            out.append(DensityMatrix(m / np.trace(m).real, (2, 2)))
+    return out
+
+
+def recording_minimize(monkeypatch) -> list:
+    """Record (first-simplex step, result) of every refinement."""
+    calls = []
+    real_minimize = qcorr.correlations.minimize
+
+    def recording(*args, **kwargs):
+        calls.append((kwargs["step"], real_minimize(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(qcorr.correlations, "minimize", recording)
+    return calls
 
 
 def test_minimization_shared_per_state_object(monkeypatch):
@@ -288,6 +348,34 @@ def test_kw_audit_deterministic_and_bounded():
         kw_audit(0, 17, FAST)
 
 
+def test_one_cell_simplex_refines_from_a_coarse_grid(monkeypatch):
+    # at 16 x 32 this state's best cell lies in column phi = 0, where a
+    # 0.00025 rad first step (5% of each coordinate, as scipy's default
+    # simplex does) crawled and ran out of iterations 1.78e-4 above the minimum
+    calls = recording_minimize(monkeypatch)
+    rho = random_mixed_pair(20)
+    coarse = classical_correlation(rho, 1, OptimizerConfig(16, 32))
+    fine = classical_correlation(rho, 1, OptimizerConfig(64, 128))
+    assert abs(coarse.value - fine.value) <= 1e-12
+    assert [step for step, _ in calls] == [((math.pi / 2) / n, (2 * math.pi) / (2 * n))
+                                           for n in (16, 64)]
+    assert all(result.success for _, result in calls)
+
+
+def test_default_grid_agrees_with_finer_grid_on_adversarial_states(monkeypatch):
+    calls = recording_minimize(monkeypatch)
+    fine = OptimizerConfig(64, 128)
+    states = adversarial_pairs(808, 20)
+    worst = 0.0
+    for rho in states:
+        for measured in (0, 1):
+            default = classical_correlation(rho, measured).value
+            worst = max(worst, abs(default - classical_correlation(rho, measured, fine).value))
+    assert worst <= 1e-9
+    assert len(calls) == 4 * len(states)
+    assert [result for _, result in calls if not result.success] == []
+
+
 def test_min_entropy_monotone_under_grid_refinement(pair_post):
     # doubling both grids keeps every old node, so J cannot decrease
     values = []
@@ -345,8 +433,11 @@ def test_nelder_mead_matches_scipy(pair_pre, pair_post):
     optimize = pytest.importorskip("scipy.optimize")
     targets = (pair_pre, pair_post, product_pair(), near_floor_pair(),
                *(random_mixed_pair(seed) for seed in (401, 402, 403)))
-    # (0, 1.3) and (0, 0) take the 0.00025 step on a zero coordinate; 4
-    # iterations cannot converge, so success must be False on both sides
+    # (0, 1.3) and (0, 0) start on the theta = 0 pole, the first simplex
+    # spans one cell of the default grid, and 4 iterations cannot converge,
+    # so success must be False on both sides
+    cfg = OptimizerConfig()
+    step = ((math.pi / 2) / cfg.grid_theta, (2 * math.pi) / cfg.grid_phi)
     starts = (((0.7, 1.9), 200), ((0.0, 1.3), 200), ((0.0, 0.0), 200), ((1.4, 5.0), 4))
     outcomes = set()
     for target in targets:
@@ -358,8 +449,10 @@ def test_nelder_mead_matches_scipy(pair_pre, pair_post):
 
             for x0, maxiter in starts:
                 opts = dict(maxiter=maxiter, xatol=REFINE_XATOL, fatol=1e-10)
-                ours = minimize(objective, x0, **opts)
-                ref = optimize.minimize(objective, x0, method="Nelder-Mead", options=opts)
+                ours = minimize(objective, x0, step=step, **opts)
+                simplex = [x0, (x0[0] + step[0], x0[1]), (x0[0], x0[1] + step[1])]
+                ref = optimize.minimize(objective, x0, method="Nelder-Mead",
+                                        options=dict(opts, initial_simplex=simplex))
                 assert ours.x == tuple(ref.x.tolist())
                 assert (ours.fun, ours.nfev, ours.nit) == (ref.fun, ref.nfev, ref.nit)
                 assert ours.success == bool(ref.success)

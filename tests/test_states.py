@@ -193,6 +193,22 @@ def test_kept_spectrum_leaves_repr_and_eq_alone(pair_post):
         pair_post.spectrum = np.zeros(4)
 
 
+def test_equality_compares_dims_and_entries():
+    mixed = np.eye(4) / 4
+    rho = DensityMatrix(mixed, (2, 2))
+    twin = DensityMatrix(mixed.copy(), (2, 2))
+    assert rho is not twin
+    assert rho == twin and not rho != twin
+    assert rho != DensityMatrix(np.diag([0.4, 0.2, 0.2, 0.2]), (2, 2))
+    assert rho != DensityMatrix(mixed, (4,))
+    assert rho.__eq__(mixed) is NotImplemented
+    assert rho != mixed.tolist()
+    with pytest.raises(TypeError, match="unhashable type: 'DensityMatrix'"):
+        hash(rho)
+    with pytest.raises(TypeError):
+        {rho}
+
+
 def test_bipartition_entropies_agree_on_pure_states():
     # tracing either side of a pure-state cut gives the same entropy
     for seed, dims in ((31, (2, 2, 2)), (32, (2, 2, 4))):
