@@ -130,14 +130,7 @@ def recording_minimize(monkeypatch) -> list:
 
 
 def test_minimization_shared_per_state_object(monkeypatch):
-    calls = []
-    real_minimize = qcorr.correlations.minimize
-
-    def counting(*args, **kwargs):
-        calls.append(None)
-        return real_minimize(*args, **kwargs)
-
-    monkeypatch.setattr(qcorr.correlations, "minimize", counting)
+    calls = recording_minimize(monkeypatch)
     mat = random_mixed_pair(7).mat
     rho = DensityMatrix(mat, (2, 2))
     before = repr(rho)
