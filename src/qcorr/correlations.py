@@ -7,9 +7,9 @@ minimization, memoized on the DensityMatrix object per (measured qubit,
 OptimizerConfig), so a later J or D on the same object reuses it. It reads
 the state once into its Bloch form, and one elementwise kernel prices each
 measurement direction in a few flops: on numpy arrays for the coarse grid,
-and on floats as the objective of the refinement, an in-module Nelder-Mead
-on floats. Entropies read the spectrum each DensityMatrix kept from its
-validation, and the concurrence takes eigenvalues only.
+and on floats as the objective of a two-coordinate Nelder-Mead. Entropies
+read the spectrum each DensityMatrix kept; concurrence takes eigenvalues
+only. discord has one decomposition, and D = I_q - J is a tested property.
 discord_oracle_grid re-derives everything through a separate brute-force
 route (embedded effects, index-by-index partial traces) so the two can
 certify each other.
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .entropy import binary_entropy, mutual_information, von_neumann_entropy
+from .entropy import binary_entropy, von_neumann_entropy
 from .exceptions import (
     BadPermutationError,
     BadSubsystemError,
@@ -60,9 +60,6 @@ TRACE_FLOOR = 1e-12
 
 # Nelder-Mead stops once its simplex spans less than this in (theta, phi)
 REFINE_XATOL = 1e-6
-
-# discord's two decompositions must agree to within this
-DISCORD_CROSS_TOL = 1e-9
 
 # float noise may push a directional measure this far below zero
 MEASURE_FLOOR = -1e-9
@@ -192,64 +189,59 @@ class NelderMeadResult(NamedTuple):
     success: bool
 
 
-def _along(a: float, xbar: tuple, b: float, w: tuple) -> tuple:
-    # a xbar - b w per coordinate: reflect (2, 1), expand (3, 2), contract
-    # outside (1.5, 0.5) or inside (0.5, -0.5), exactly as scipy rounds them
-    return tuple(a * c - b * v for c, v in zip(xbar, w))
-
-
 def minimize(fun, x0, *, step, maxiter: int, xatol: float, fatol: float) -> NelderMeadResult:
-    """Nelder-Mead on float tuples, step for step scipy's method='Nelder-Mead'
-    with adaptive=False, no bounds and no maxfev.
+    """Nelder-Mead on two coordinates, with fun taking the point as a tuple.
 
-    The initial simplex is x0 and x0 + step[k] e_k for each coordinate k,
-    so its size is set by the caller, not by x0: scipy's default of 5% of
-    each coordinate (0.00025 on a zero one) crawls from x0 = 0 and leaps
-    from large x0. The reflect/expand/contract/shrink coefficients
-    (1, 2, 1/2, 1/2) and the arithmetic order are scipy's, and vertices are
-    sorted stably by value after every step. On one or two coordinates,
-    where numpy's argsort of three values is stable too, x, fun, nfev and
-    nit come out bit-identical to scipy's given the same initial simplex
-    (options={"initial_simplex": ...}). success means the xatol and fatol
-    tests passed before maxiter iterations.
+    The initial simplex is x0, x0 + step[0] e_0 and x0 + step[1] e_1, so the
+    caller sets its size; scipy's default of 5% of each coordinate crawls
+    from x0 = 0 and leaps from large x0. Every arithmetic expression is
+    scipy's and the vertices stay in stable-sorted order by value, so x, fun,
+    nfev, nit and success (both stopping tests passed before maxiter) are
+    bit-identical to scipy's method='Nelder-Mead' (adaptive=False, no bounds,
+    no maxfev) given the same initial simplex.
     """
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        nfev += 1
-        return fun(x)
-
-    x0 = tuple(map(float, x0))
-    sim = [x0] + [x0[:k] + (c + h,) + x0[k + 1:] for k, (c, h) in enumerate(zip(x0, step))]
-    verts = sorted(((f(x), x) for x in sim), key=itemgetter(0))
-    nit = 1
-    while nit < maxiter:
-        (f0, best), (fw, worst) = verts[0], verts[-1]
-        if (max(abs(c - b) for _, x in verts[1:] for c, b in zip(x, best)) <= xatol
-                and max(abs(f0 - fx) for fx, _ in verts[1:]) <= fatol):
-            break
-        xbar = tuple(sum(col[1:], col[0]) / len(x0) for col in zip(*(x for _, x in verts[:-1])))
-        xr = _along(2, xbar, 1, worst)
-        fr = f(xr)
-        if fr < f0:
-            xe = _along(3, xbar, 2, worst)
-            fe = f(xe)
-            verts[-1] = (fe, xe) if fe < fr else (fr, xr)
-        elif fr < verts[-2][0]:
-            verts[-1] = (fr, xr)
-        else:
-            outside = fr < fw
-            xc = _along(1.5, xbar, 0.5, worst) if outside else _along(0.5, xbar, -0.5, worst)
-            fc = f(xc)
-            if (fc <= fr) if outside else (fc < fw):
-                verts[-1] = (fc, xc)
-            else:  # shrink every vertex halfway toward the best
-                verts[1:] = [(f(x), x) for x in (
-                    tuple(b + 0.5 * (c - b) for c, b in zip(x, best)) for _, x in verts[1:])]
+    b0, b1 = map(float, x0)
+    (fb, (b0, b1)), (fs, (s0, s1)), (fw, (w0, w1)) = sorted(
+        ((fun(x), x) for x in ((b0, b1), (b0 + step[0], b1), (b0, b1 + step[1]))),
+        key=itemgetter(0))
+    nfev, nit = 3, 1
+    while nit < maxiter and not (
+            abs(s0 - b0) <= xatol and abs(s1 - b1) <= xatol and abs(w0 - b0) <= xatol
+            and abs(w1 - b1) <= xatol and abs(fb - fs) <= fatol and abs(fb - fw) <= fatol):
         nit += 1
-        verts.sort(key=itemgetter(0))
-    return NelderMeadResult(verts[0][1], verts[0][0], nfev, nit, nit < maxiter)
+        m0, m1 = (b0 + s0) / 2, (b1 + s1) / 2
+        n0, n1 = 2 * m0 - 1 * w0, 2 * m1 - 1 * w1
+        fn = fun((n0, n1))
+        nfev += 1
+        if fn < fb:
+            e0, e1 = 3 * m0 - 2 * w0, 3 * m1 - 2 * w1
+            fe = fun((e0, e1))
+            nfev += 1
+            if fe < fn:
+                fn, n0, n1 = fe, e0, e1
+        elif not fn < fs:
+            fr, outside = fn, fn < fw
+            if outside:
+                n0, n1 = 1.5 * m0 - 0.5 * w0, 1.5 * m1 - 0.5 * w1
+            else:
+                n0, n1 = 0.5 * m0 - -0.5 * w0, 0.5 * m1 - -0.5 * w1
+            fn = fun((n0, n1))
+            nfev += 1
+            if not (fn <= fr if outside else fn < fw):  # shrink halfway toward the best
+                (fb, (b0, b1)), (fs, (s0, s1)), (fw, (w0, w1)) = sorted([(fb, (b0, b1))] + [
+                    (fun(x), x) for x in ((b0 + 0.5 * (s0 - b0), b1 + 0.5 * (s1 - b1)),
+                                          (b0 + 0.5 * (w0 - b0), b1 + 0.5 * (w1 - b1)))],
+                    key=itemgetter(0))
+                nfev += 2
+                continue
+        # the new vertex replaces the worst and goes after any equal value
+        if fn < fb:
+            fb, b0, b1, fs, s0, s1, fw, w0, w1 = fn, n0, n1, fb, b0, b1, fs, s0, s1
+        elif fn < fs:
+            fs, s0, s1, fw, w0, w1 = fn, n0, n1, fs, s0, s1
+        else:
+            fw, w0, w1 = fn, n0, n1
+    return NelderMeadResult((b0, b1), fb, nfev, nit, nit < maxiter)
 
 
 def _min_conditional_entropy(rho4: np.ndarray, measured: int,
@@ -335,10 +327,6 @@ class _SideMinimum(NamedTuple):
     def discord(self) -> DirectionalMeasure:
         s_m = von_neumann_entropy(partial_trace(self.rho, [1 - self.measured]))
         value = s_m - von_neumann_entropy(self.rho) + self.best
-        cross = mutual_information(self.rho, [0]) - (self.s_u - self.best)
-        if abs(value - cross) > DISCORD_CROSS_TOL:
-            raise ConsistencyError(
-                f"discord forms disagree: {value!r} vs I_q - J = {cross!r}")
         return DirectionalMeasure(value, self.direction, self.angles, self.evals)
 
 
@@ -368,8 +356,9 @@ def discord(rho: DensityMatrix, measured: int,
             cfg: OptimizerConfig | None = None) -> DirectionalMeasure:
     """Quantum discord D = S(measured) - S(full) + min conditional entropy.
 
-    Also rebuilt as I_q - J through the mutual-information path; the two
-    forms must agree to DISCORD_CROSS_TOL or ConsistencyError is raised.
+    One decomposition, sharing the minimum with classical_correlation. That
+    D = I_q - J holds is a property the tests check, not a runtime check:
+    both forms add the same entropies, only in another order.
     """
     return _minimize_side(rho, measured, cfg).discord()
 
@@ -461,12 +450,15 @@ def koashi_winter_residual(psi: PureState, a: int, b: int, c: int,
     if sorted((a, b, c)) != [0, 1, 2]:
         raise BadPermutationError(f"indices ({a}, {b}, {c}) are not a permutation of 0, 1, 2")
     rho = density_from_pure(psi)
-    s_a = von_neumann_entropy(partial_trace(rho, [b, c]))
-    e_ab = eof_two_qubits(partial_trace(rho, [c]))
-    rho_ac = partial_trace(rho, [b])
-    measured_pos = sorted((a, c)).index(c)  # partial_trace keeps factor order
-    j_ac = classical_correlation(rho_ac, measured_pos, cfg)
-    return s_a - e_ab - j_ac.value
+    return _kw_residual(rho, {k: partial_trace(rho, [k]) for k in (b, c)}, a, b, c, cfg)
+
+
+def _kw_residual(rho: DensityMatrix, pairs, a: int, b: int, c: int,
+                 cfg: OptimizerConfig | None) -> float:
+    """The residual, where pairs[k] is rho with qubit k traced out."""
+    s_a = von_neumann_entropy(partial_trace(rho, [b, c]))  # not via a pair: last bit may differ
+    j_ac = classical_correlation(pairs[b], int(a < c), cfg)  # traces keep factor order
+    return s_a - eof_two_qubits(pairs[c]) - j_ac.value
 
 
 @dataclass(frozen=True)
@@ -482,16 +474,16 @@ class AuditSummary:
 
 
 def kw_audit(count: int, seed: int, cfg: OptimizerConfig | None = None) -> AuditSummary:
-    """Sample pure three-qubit states and collect the identity residual
-    over all three cyclic permutations of each."""
+    """Sample pure three-qubit states and collect the identity residual over
+    all three cyclic permutations of each, sharing its three pair marginals."""
     if count < 1:
         raise OutOfRangeError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     residuals = []
     for _ in range(count):
-        psi = sample_pure_state((2, 2, 2), rng)
-        for a, b, c in _CYCLIC_PERMS:
-            residuals.append(koashi_winter_residual(psi, a, b, c, cfg))
+        rho = density_from_pure(sample_pure_state((2, 2, 2), rng))
+        pairs = [partial_trace(rho, [k]) for k in range(3)]
+        residuals.extend(_kw_residual(rho, pairs, a, b, c, cfg) for a, b, c in _CYCLIC_PERMS)
     arr = np.array(residuals)
     ok = bool((arr >= RESIDUAL_LOW).all() and (arr <= RESIDUAL_HIGH).all())
     return AuditSummary(count, seed, float(arr.min()), float(arr.max()),

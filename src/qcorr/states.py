@@ -10,8 +10,8 @@ A DensityMatrix keeps the eigenvalues its PSD check computed as
 carries a private per-instance dict in which qcorr.correlations memoizes
 each conditional-entropy minimization, so J and D on one state object
 share one minimization. Neither takes part in repr or ==, and the memo
-holds numbers only, never a state. Two DensityMatrix objects are == when
-their dims and mat entries are equal; a DensityMatrix is not hashable.
+holds numbers only, never a state. Two DensityMatrix (or PureState)
+objects are == when their dims and entries are equal; neither is hashable.
 """
 from __future__ import annotations
 
@@ -106,6 +106,14 @@ class PureState:
             raise QcorrError(f"state vector norm deviates from 1 by {abs(n - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _freeze(v.copy()))
         object.__setattr__(self, "dims", dims)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.amplitudes, other.amplitudes)
+
+    def __hash__(self):
+        raise TypeError("unhashable type: 'PureState' (it wraps an ndarray)")
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,8 @@
 import gc
 import math
+import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -129,6 +131,26 @@ def recording_minimize(monkeypatch) -> list:
     return calls
 
 
+def count_calls(monkeypatch, *functions) -> Counter:
+    """Count calls to each function by name, through every qcorr module
+    that binds it."""
+    counts = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {id(fn): counted(fn) for fn in functions}
+    for name, mod in list(sys.modules.items()):
+        if name == "qcorr" or name.startswith("qcorr."):
+            for attr, obj in list(vars(mod).items()):
+                if id(obj) in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[id(obj)])
+    return counts
+
+
 def test_minimization_shared_per_state_object(monkeypatch):
     calls = recording_minimize(monkeypatch)
     mat = random_mixed_pair(7).mat
@@ -227,6 +249,16 @@ def test_discord_equals_mi_minus_j_on_random_states():
         j = classical_correlation(rho, measured, FAST)
         iq = mutual_information(rho, [0])
         assert abs(d.value - (iq - j.value)) < 1e-9
+
+
+def test_discord_after_classical_correlation_traces_once(monkeypatch):
+    # D reads the minimum J stored on the object; the only new work is S(measured)
+    rho = random_mixed_pair(9)
+    j = classical_correlation(rho, 1)
+    counts = count_calls(monkeypatch, partial_trace, mutual_information, minimize)
+    d = discord(rho, 1)
+    assert counts == {"partial_trace": 1}
+    assert abs(d.value - (mutual_information(rho, [0]) - j.value)) < 1e-9
 
 
 def test_discord_oracle_agrees_on_pairs(pair_pre, pair_post):
@@ -339,6 +371,26 @@ def test_kw_audit_deterministic_and_bounded():
     assert first.min_residual <= first.mean_residual <= first.max_residual
     with pytest.raises(OutOfRangeError):
         kw_audit(0, 17, FAST)
+
+
+@pytest.mark.parametrize("seed, cfg", [(0, None), (17, None), (29, FAST)])
+def test_kw_audit_equals_residual_over_the_same_states(seed, cfg):
+    # the audit shares each state's marginals across labelings; every
+    # residual must still be the one koashi_winter_residual computes alone
+    summary = kw_audit(4, seed, cfg)
+    rng = np.random.default_rng(seed)
+    residuals = np.array([koashi_winter_residual(psi, a, b, c, cfg)
+                          for psi in [sample_pure_state((2, 2, 2), rng) for _ in range(4)]
+                          for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))])
+    assert (summary.min_residual, summary.max_residual, summary.mean_residual) == (
+        float(residuals.min()), float(residuals.max()), float(residuals.mean()))
+
+
+def test_kw_audit_decomposes_each_state_once(monkeypatch):
+    counts = count_calls(monkeypatch, density_from_pure, partial_trace, minimize)
+    kw_audit(1, 3)
+    # one rho, three pair marginals, and per labeling S(a) plus J's S(unmeasured)
+    assert counts == {"density_from_pure": 1, "partial_trace": 9, "minimize": 3}
 
 
 def test_one_cell_simplex_refines_from_a_coarse_grid(monkeypatch):

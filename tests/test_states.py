@@ -209,6 +209,24 @@ def test_equality_compares_dims_and_entries():
         {rho}
 
 
+def test_pure_state_equality_compares_dims_and_amplitudes():
+    amp = np.array([1, 0, 0, 0])
+    psi = PureState(amp, (2, 2))
+    twin = PureState(amp.copy(), (2, 2))
+    assert psi is not twin
+    assert psi == twin and not psi != twin
+    assert PureState(np.array([1, 0]), (2,)) == PureState(np.array([1, 0]), (2,))
+    assert psi != PureState(np.array([0, 1, 0, 0]), (2, 2))
+    assert psi != PureState(amp, (4,))
+    assert psi.__eq__(amp) is NotImplemented
+    assert psi != amp.tolist()
+    assert psi != density_from_pure(psi)
+    with pytest.raises(TypeError, match="unhashable type: 'PureState'"):
+        hash(psi)
+    with pytest.raises(TypeError):
+        {psi}
+
+
 def test_bipartition_entropies_agree_on_pure_states():
     # tracing either side of a pure-state cut gives the same entropy
     for seed, dims in ((31, (2, 2, 2)), (32, (2, 2, 4))):
