@@ -20,14 +20,7 @@ from .correlations import (
 )
 from .entropy import binary_entropy, mutual_information, von_neumann_entropy
 from .exceptions import QcorrError
-from .linalg import (
-    EigenDecomposition,
-    dagger,
-    eig_hermitian,
-    frobenius_distance,
-    kron,
-    psd_sqrt,
-)
+from .linalg import frobenius_distance, kron
 from .measurement import (
     BlochAngles,
     MeasurementOutcome,
@@ -64,16 +57,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditSummary", "BlochAngles", "CorrelationReport", "DensityMatrix",
-    "DirectionalMeasure", "EigenDecomposition", "MeasurementOutcome",
+    "DirectionalMeasure", "MeasurementOutcome",
     "OptimizerConfig", "Povm", "PureState", "QcorrError", "ReferenceValues",
     "acceptance_checks", "apply_filter", "apply_global_operator",
     "binary_entropy", "build_report", "classical_correlation",
-    "concurrence", "conditional_entropy", "dagger", "density_from_pure",
-    "density_to_json", "discord", "discord_oracle_grid", "eig_hermitian",
+    "concurrence", "conditional_entropy", "density_from_pure",
+    "density_to_json", "discord", "discord_oracle_grid",
     "embed_local", "eof_two_qubits", "filter_e", "frobenius_distance",
     "ghz3", "koashi_winter_residual", "kron", "kw_audit", "load_state",
     "measure_subsystem", "mutual_information", "operator_mab",
-    "parse_state", "partial_trace", "projective_pair", "psd_sqrt",
+    "parse_state", "partial_trace", "projective_pair",
     "pure_to_json", "purity", "random_pure_state", "reference_values",
     "run_scenario", "von_neumann_entropy",
 ]

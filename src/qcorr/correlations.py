@@ -8,8 +8,9 @@ OptimizerConfig), so a later J or D on the same object reuses it. It reads
 the state once into its Bloch form, and one elementwise kernel prices each
 measurement direction in a few flops: on numpy arrays for the coarse grid,
 and on floats as the objective of a two-coordinate Nelder-Mead. Entropies
-read the spectrum each DensityMatrix kept; concurrence takes eigenvalues
-only. discord has one decomposition, and D = I_q - J is a tested property.
+read the spectrum each DensityMatrix kept, and concurrence reads its kept
+eigenvectors through Wootters' tau matrix. discord has one decomposition,
+and D = I_q - J is a tested property.
 discord_oracle_grid re-derives everything through a separate brute-force
 route (embedded effects, index-by-index partial traces) so the two can
 certify each other.
@@ -31,10 +32,9 @@ from .exceptions import (
     BadSubsystemError,
     ConsistencyError,
     DimMismatchError,
-    NotHermitianError,
     OutOfRangeError,
 )
-from .linalg import HERM_TOL, hermiticity_defect, kron, psd_sqrt
+from .linalg import kron
 from .measurement import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochAngles
 from .states import (
     DensityMatrix,
@@ -413,21 +413,16 @@ def discord_oracle_grid(rho: DensityMatrix, measured: int, resolution: int) -> f
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit concurrence via the spin-flip construction.
+    """Two-qubit concurrence by Wootters' tau route (PRL 80, 2245, 1998).
 
-    Computed on the Hermitian product sqrt(rho) rho~ sqrt(rho), whose
-    eigenvalue square roots are the usual lambdas.
+    With Psi the kept eigenvectors scaled by sqrt(eigenvalue), the singular
+    values of tau = Psi^T (Y x Y) Psi are the usual lambdas, found without
+    a square root of a matrix or of near-zero eigenvalues.
     """
     _require_two_qubits(rho)
-    flipped = _YY @ rho.mat.conj() @ _YY
-    root = psd_sqrt(rho.mat)
-    product = root @ flipped @ root
-    defect = hermiticity_defect(product)
-    if defect > HERM_TOL:
-        raise NotHermitianError(f"matrix is not Hermitian (defect {defect:.3e})")
-    lam2 = np.linalg.eigh(product)[0]  # eigenvalues only; no vectors to phase-fix
-    lam = np.sqrt(np.clip(lam2, 0.0, None))[::-1]
-    c = lam[0] - lam[1] - lam[2] - lam[3]
+    psi = rho.eigenvectors * np.sqrt(np.clip(rho.spectrum, 0.0, None))
+    s = np.linalg.svd(psi.T @ _YY @ psi, compute_uv=False)
+    c = s[0] - s[1] - s[2] - s[3]
     return float(min(max(c, 0.0), 1.0))
 
 

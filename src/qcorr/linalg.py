@@ -1,22 +1,14 @@
-"""Dense complex matrix helpers and the Hermitian eigendecomposition.
+"""Dense complex matrix helpers and the Hermiticity and PSD tolerances.
 
 All qcorr operators are small (dim <= 8) dense complex matrices, so
-everything here wraps numpy directly. Results that callers might hold on
-to are returned write-protected.
+everything here wraps numpy directly. Arrays a state keeps are
+write-protected with _freeze.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .exceptions import (
-    DimMismatchError,
-    NoConvergenceError,
-    NotHermitianError,
-    NotPSDError,
-    QcorrError,
-)
+from .exceptions import DimMismatchError, QcorrError
 
 HERM_TOL = 1e-10
 # eigenvalues in [-EIG_CLAMP, 0) are treated as exact zeros; below is an error
@@ -38,11 +30,6 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product; the left factor is the most significant index."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -61,60 +48,3 @@ def hermiticity_defect(a) -> float:
     """Largest entrywise deviation of a from its conjugate transpose."""
     a = np.asarray(a, dtype=complex)
     return float(np.abs(a - a.conj().T).max())
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues ascending, eigenvectors as matching orthonormal columns.
-
-    Column phases are fixed so the largest-magnitude component of each
-    eigenvector is real and positive, making the decomposition a pure
-    function of its input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def eig_hermitian(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Raises NotHermitianError if the input deviates from Hermitian by more
-    than HERM_TOL in any entry, NoConvergenceError if the solver fails.
-    """
-    m = as_square(a)
-    defect = hermiticity_defect(m)
-    if defect > HERM_TOL:
-        raise NotHermitianError(f"matrix is not Hermitian (defect {defect:.3e})")
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
-        raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    v = v.astype(complex, copy=True)
-    # deterministic phase: largest-magnitude component real-positive
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        j = int(np.argmax(np.abs(col)))
-        pivot = col[j]
-        if pivot != 0:
-            col *= pivot.conjugate() / abs(pivot)
-    return EigenDecomposition(_freeze(w.astype(float)), _freeze(v))
-
-
-def psd_sqrt(a) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
-
-    Eigenvalues in [-EIG_CLAMP, 0) are clamped to zero; anything more
-    negative raises NotPSDError.
-    """
-    dec = eig_hermitian(a)
-    w = dec.eigenvalues
-    if w[0] < -EIG_CLAMP:
-        raise NotPSDError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    v = dec.eigenvectors
-    return (v * np.sqrt(w)) @ v.conj().T

@@ -5,8 +5,9 @@ row index r of a state on dims (d0, d1, ...) decodes as the mixed-radix
 digits (r0, r1, ...) with r0 for subsystem 0. kron() follows the same
 convention (left factor most significant).
 
-A DensityMatrix keeps the eigenvalues its PSD check computed as
-`spectrum`, so entropies need no second eigendecomposition. It also
+A DensityMatrix keeps the eigendecomposition its PSD check computed, the
+eigenvalues as `spectrum` and the eigenvectors as `eigenvectors`, so
+entropies and concurrence need no second eigendecomposition. It also
 carries a private per-instance dict in which qcorr.correlations memoizes
 each conditional-entropy minimization, so J and D on one state object
 share one minimization. Neither takes part in repr or ==, and the memo
@@ -42,12 +43,14 @@ class DensityMatrix:
 
     Construction rejects non-Hermitian matrices, trace away from 1, and
     eigenvalues below -1e-10. The eigenvalues are kept, ascending and
-    read-only, as `spectrum`.
+    read-only, as `spectrum`, and the matching orthonormal eigenvectors, as
+    read-only columns, as `eigenvectors`.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...] = field(default=())
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
     # (measured, OptimizerConfig) -> (S_u, best, angles, evals), filled by
     # qcorr.correlations; numbers only, so no reference cycle through the state
     _minima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -64,12 +67,13 @@ class DensityMatrix:
             raise QcorrError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         # eigh, not eigvalsh: entropies read these values, and eigvalsh's can
         # differ from eigh's in the last bits
-        evs = np.linalg.eigh(m)[0]
+        evs, vecs = np.linalg.eigh(m)
         if evs[0] < -EIG_CLAMP:
             raise NotPSDError(f"density matrix has eigenvalue {evs[0]:.3e} < -{EIG_CLAMP}")
         object.__setattr__(self, "mat", _freeze(m.copy()))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spectrum", _freeze(evs))
+        object.__setattr__(self, "eigenvectors", _freeze(vecs))
 
     def __eq__(self, other):
         # the generated == would take the truth value of an elementwise array ==

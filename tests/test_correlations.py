@@ -310,9 +310,37 @@ def test_concurrence_local_unitary_invariance(entangled_pair):
         ub, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         u = kron(ua, ub)
         rotated = DensityMatrix(u @ entangled_pair.mat @ u.conj().T, (2, 2))
-        # the pair is rank-2, so the matrix square root works next to zero
-        # eigenvalues; 1e-7 absorbs that noise
-        assert abs(concurrence(rotated) - base) < 1e-7
+        # the pair is rank-2; the tau route takes no square root of its zero
+        # eigenvalues, so only rounding separates the two values
+        assert abs(concurrence(rotated) - base) < 1e-12
+
+
+def test_concurrence_of_pure_pairs_is_twice_the_determinant():
+    # a|00> + b|01> + c|10> + d|11> has C = 2|ad - bc|; these rank-1 states
+    # are where a square root of sqrt(rho) rho~ sqrt(rho)'s ~1e-16
+    # eigenvalues would add ~1e-8
+    for seed in range(200):
+        a, b, c, d = random_pure_state((2, 2), seed).amplitudes
+        rho = density_from_pure(random_pure_state((2, 2), seed))
+        assert abs(concurrence(rho) - 2.0 * abs(a * d - b * c)) < 1e-14
+
+
+def test_concurrence_matches_spin_flip_route_on_full_rank_pairs():
+    # hand-built oracle: the lambdas as square roots of the eigenvalues of
+    # sqrt(rho) rho~ sqrt(rho), all from np.linalg.eigh
+    yy = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+    entangled = 0
+    for seed in range(500):
+        rho = random_mixed_pair(seed)
+        w, v = np.linalg.eigh(rho.mat)
+        assert w[0] > 0
+        root = (v * np.sqrt(w)) @ v.conj().T
+        lam2 = np.linalg.eigh(root @ yy @ rho.mat.conj() @ yy @ root)[0]
+        lam = np.sqrt(np.clip(lam2, 0.0, None))[::-1]
+        hand = min(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0), 1.0)
+        assert abs(concurrence(rho) - hand) < 1e-12
+        entangled += hand > 0
+    assert entangled > 250  # most Hilbert-Schmidt pairs are entangled
 
 
 def test_eof_values(entangled_pair, bell_pair, entropy_constant):
@@ -350,6 +378,16 @@ def test_residual_identity_on_filtered_triple():
     for a, b, c in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         r = koashi_winter_residual(psi, a, b, c, FAST)
         assert RESIDUAL_LOW <= r <= RESIDUAL_HIGH
+
+
+def test_residual_vanishes_on_sampled_pure_triples():
+    # rank-2 marginals of pure states: E_F(AB) is exact there, so the
+    # residual sits at the optimizer's rounding, far inside the audit window
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        psi = sample_pure_state((2, 2, 2), rng)
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            assert abs(koashi_winter_residual(psi, a, b, c)) <= 1e-11
 
 
 def test_residual_rejects_bad_indices():

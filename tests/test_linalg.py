@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from qcorr import dagger, eig_hermitian, frobenius_distance, kron, psd_sqrt
-from qcorr.exceptions import DimMismatchError, NotHermitianError, NotPSDError
+from qcorr import frobenius_distance, kron
+from qcorr.exceptions import DimMismatchError
 
 I2 = np.eye(2)
-
-
-def random_hermitian(rng, n):
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return a + a.conj().T
 
 
 def test_kron_identities():
@@ -44,80 +39,6 @@ def test_kron_associative_integer_entries():
     rng = np.random.default_rng(4)
     a, b, c = (rng.integers(-3, 4, size=(2, 2)) for _ in range(3))
     np.testing.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-
-def test_dagger_cases():
-    np.testing.assert_array_equal(dagger(I2), I2)
-    m = np.array([[0, 1j], [0, 0]])
-    np.testing.assert_array_equal(dagger(m), np.array([[0, 0], [-1j, 0]]))
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    np.testing.assert_array_equal(dagger(dagger(a)), a)
-
-
-def test_eig_identity_and_diag():
-    dec = eig_hermitian(I2)
-    np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0])
-    dec = eig_hermitian(np.diag([0.7, 0.3]))
-    np.testing.assert_allclose(dec.eigenvalues, [0.3, 0.7])
-
-
-def test_eig_quadratic_oracle():
-    # trace 1, det 1/8: roots of x^2 - x + 1/8 are (2 +/- sqrt(2))/4
-    m = np.array([[0.75, 0.25], [0.25, 0.25]])
-    lo = (2.0 - np.sqrt(2.0)) / 4.0
-    hi = (2.0 + np.sqrt(2.0)) / 4.0
-    dec = eig_hermitian(m)
-    np.testing.assert_allclose(dec.eigenvalues, [lo, hi], atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [2, 4, 8])
-def test_eig_random_hermitian_invariants(n):
-    rng = np.random.default_rng(10 + n)
-    for _ in range(20):
-        h = random_hermitian(rng, n)
-        dec = eig_hermitian(h)
-        assert frobenius_distance(dec.reconstruct(), h) < 1e-10
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-        assert frobenius_distance(gram, np.eye(n)) < 1e-10
-        assert (np.diff(dec.eigenvalues) >= 0).all()
-        assert abs(dec.eigenvalues.sum() - np.trace(h).real) < 1e-10
-
-
-def test_eig_deterministic_phase():
-    rng = np.random.default_rng(6)
-    h = random_hermitian(rng, 4)
-    a = eig_hermitian(h)
-    b = eig_hermitian(h)
-    np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
-    for k in range(4):
-        col = a.eigenvectors[:, k]
-        pivot = col[np.argmax(np.abs(col))]
-        assert pivot.real > 0 and abs(pivot.imag) < 1e-12
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_psd_sqrt_cases():
-    np.testing.assert_allclose(psd_sqrt(np.eye(4)), np.eye(4), atol=1e-12)
-    np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-
-def test_psd_sqrt_construct_and_square():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        a = b.conj().T @ b
-        s = psd_sqrt(a)
-        assert frobenius_distance(s @ s, a) < 1e-9
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([1.0, -1.0]))
 
 
 def test_frobenius_distance():

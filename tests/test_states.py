@@ -8,6 +8,7 @@ from qcorr import (
     PureState,
     density_from_pure,
     embed_local,
+    frobenius_distance,
     kron,
     partial_trace,
     purity,
@@ -191,6 +192,17 @@ def test_kept_spectrum_leaves_repr_and_eq_alone(pair_post):
     assert repr(pair_post) == f"DensityMatrix(mat={pair_post.mat!r}, dims={pair_post.dims!r})"
     with pytest.raises(AttributeError):
         pair_post.spectrum = np.zeros(4)
+    with pytest.raises(AttributeError):
+        pair_post.eigenvectors = np.eye(4)
+    v = pair_post.eigenvectors
+    assert not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0, 0] = 1.0
+    assert frobenius_distance((v * pair_post.spectrum) @ v.conj().T, pair_post.mat) < 1e-14
+    # eigenvector phases are arbitrary, so a twin holding -V is still equal
+    twin = DensityMatrix(pair_post.mat.copy(), pair_post.dims)
+    object.__setattr__(twin, "eigenvectors", -v)
+    assert twin == pair_post and repr(twin) == repr(pair_post)
 
 
 def test_equality_compares_dims_and_entries():
