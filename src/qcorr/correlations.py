@@ -416,8 +416,10 @@ def concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence by Wootters' tau route (PRL 80, 2245, 1998).
 
     With Psi the kept eigenvectors scaled by sqrt(eigenvalue), the singular
-    values of tau = Psi^T (Y x Y) Psi are the usual lambdas, found without
-    a square root of a matrix or of near-zero eigenvalues.
+    values of tau = Psi^T (Y x Y) Psi are the usual lambdas. No matrix
+    square root is taken, so the ~1e-16 noise eigenvalues of a
+    rank-deficient state move the lambdas by about 1e-16, not by its
+    square root.
     """
     _require_two_qubits(rho)
     psi = rho.eigenvectors * np.sqrt(np.clip(rho.spectrum, 0.0, None))

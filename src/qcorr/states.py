@@ -10,8 +10,8 @@ eigenvalues as `spectrum` and the eigenvectors as `eigenvectors`, so
 entropies and concurrence need no second eigendecomposition. It also
 carries a private per-instance dict in which qcorr.correlations memoizes
 each conditional-entropy minimization, so J and D on one state object
-share one minimization. Neither takes part in repr or ==, and the memo
-holds numbers only, never a state. Two DensityMatrix (or PureState)
+share one minimization. None of these takes part in repr or ==, and the
+memo holds numbers only, never a state. Two DensityMatrix (or PureState)
 objects are == when their dims and entries are equal; neither is hashable.
 """
 from __future__ import annotations

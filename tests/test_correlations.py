@@ -320,15 +320,16 @@ def test_concurrence_of_pure_pairs_is_twice_the_determinant():
     # are where a square root of sqrt(rho) rho~ sqrt(rho)'s ~1e-16
     # eigenvalues would add ~1e-8
     for seed in range(200):
-        a, b, c, d = random_pure_state((2, 2), seed).amplitudes
-        rho = density_from_pure(random_pure_state((2, 2), seed))
-        assert abs(concurrence(rho) - 2.0 * abs(a * d - b * c)) < 1e-14
+        psi = random_pure_state((2, 2), seed)
+        a, b, c, d = psi.amplitudes
+        assert abs(concurrence(density_from_pure(psi)) - 2.0 * abs(a * d - b * c)) < 1e-14
 
 
 def test_concurrence_matches_spin_flip_route_on_full_rank_pairs():
     # hand-built oracle: the lambdas as square roots of the eigenvalues of
     # sqrt(rho) rho~ sqrt(rho), all from np.linalg.eigh
-    yy = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+    y = np.array([[0, -1j], [1j, 0]])
+    yy = np.kron(y, y)
     entangled = 0
     for seed in range(500):
         rho = random_mixed_pair(seed)
@@ -381,8 +382,8 @@ def test_residual_identity_on_filtered_triple():
 
 
 def test_residual_vanishes_on_sampled_pure_triples():
-    # rank-2 marginals of pure states: E_F(AB) is exact there, so the
-    # residual sits at the optimizer's rounding, far inside the audit window
+    # the pair marginals of a pure triple have rank 2; with E_F(AB) exact
+    # there, the residual is rounding, far inside the audit window
     rng = np.random.default_rng(7)
     for _ in range(8):
         psi = sample_pure_state((2, 2, 2), rng)
