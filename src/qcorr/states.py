@@ -65,8 +65,8 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise QcorrError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        # eigh, not eigvalsh: entropies read these values, and eigvalsh's can
-        # differ from eigh's in the last bits
+        # eigh, not eigvalsh: concurrence reads the vectors, and entropies
+        # read the values, which eigvalsh's can differ from in the last bits
         evs, vecs = np.linalg.eigh(m)
         if evs[0] < -EIG_CLAMP:
             raise NotPSDError(f"density matrix has eigenvalue {evs[0]:.3e} < -{EIG_CLAMP}")
