@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from qcorr import frobenius_distance, kron
-from qcorr.exceptions import DimMismatchError
+from qcorr import DensityMatrix, frobenius_distance, kron
+from qcorr.exceptions import DimMismatchError, QcorrError
 
 I2 = np.eye(2)
+
+
+def random_density(rng, n):
+    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = b @ b.conj().T
+    return a / np.trace(a).real
 
 
 def test_kron_identities():
@@ -39,6 +45,43 @@ def test_kron_associative_integer_entries():
     rng = np.random.default_rng(4)
     a, b, c = (rng.integers(-3, 4, size=(2, 2)) for _ in range(3))
     np.testing.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
+
+
+# The Hermitian eigendecomposition is the one DensityMatrix computes at
+# validation and keeps as `spectrum` (ascending) and `eigenvectors`.
+
+
+def test_eig_identity_and_diag():
+    rho = DensityMatrix(I2 / 2)
+    np.testing.assert_allclose(rho.spectrum, [0.5, 0.5])
+    rho = DensityMatrix(np.diag([0.7, 0.3]))
+    np.testing.assert_allclose(rho.spectrum, [0.3, 0.7])
+    np.testing.assert_allclose(np.abs(rho.eigenvectors), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_eig_quadratic_oracle():
+    # trace 1, det 1/8: roots of x^2 - x + 1/8 are (2 +/- sqrt(2))/4
+    m = np.array([[0.75, 0.25], [0.25, 0.25]])
+    lo = (2.0 - np.sqrt(2.0)) / 4.0
+    hi = (2.0 + np.sqrt(2.0)) / 4.0
+    np.testing.assert_allclose(DensityMatrix(m).spectrum, [lo, hi], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_eig_random_hermitian_invariants(n):
+    rng = np.random.default_rng(10 + n)
+    for _ in range(20):
+        rho = DensityMatrix(random_density(rng, n))
+        v, evs = rho.eigenvectors, rho.spectrum
+        assert frobenius_distance((v * evs) @ v.conj().T, rho.mat) < 1e-10
+        assert frobenius_distance(v.conj().T @ v, np.eye(n)) < 1e-10
+        assert (np.diff(evs) >= 0).all()
+        assert abs(evs.sum() - np.trace(rho.mat).real) < 1e-10
+
+
+def test_eig_rejects_non_hermitian():
+    with pytest.raises(QcorrError, match="not Hermitian"):
+        DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
 
 def test_frobenius_distance():
