@@ -47,8 +47,6 @@ def _optimizer_flags(parser: argparse.ArgumentParser):
                         help="coarse grid columns over phi in [0, 2*pi) (default 64)")
     parser.add_argument("--refine-iters", type=int, default=200, metavar="N",
                         help="Nelder-Mead iteration cap (default 200)")
-    parser.add_argument("--refine-tol", type=float, default=1e-10, metavar="X",
-                        help="Nelder-Mead function tolerance (default 1e-10)")
 
 
 def _common_flags(parser: argparse.ArgumentParser):
@@ -60,7 +58,7 @@ def _common_flags(parser: argparse.ArgumentParser):
 
 def _config_from(args) -> OptimizerConfig:
     return OptimizerConfig(grid_theta=args.grid_theta, grid_phi=args.grid_phi,
-                           refine_iters=args.refine_iters, refine_tol=args.refine_tol)
+                           refine_iters=args.refine_iters)
 
 
 def _emit(text: str, args):
@@ -155,14 +153,7 @@ def cmd_kw_audit(args) -> int:
         ("mean_residual", fmt12(summary.mean_residual)),
         ("within_bounds", "true" if summary.within_bounds else "false"),
     ]
-    if args.format == "json":
-        parts = [f'"{k}": {v}' for k, v in fields]
-        _emit("{" + ", ".join(parts) + "}\n", args)
-    elif args.format == "csv":
-        _emit("quantity,value\n" + "\n".join(f"{k},{v}" for k, v in fields) + "\n", args)
-    else:
-        width = max(len(k) for k, _ in fields)
-        _emit("\n".join(f"{k:<{width}}  {v}" for k, v in fields) + "\n", args)
+    _emit(_render_fields(fields, args.format), args)
     print(_check_line("identity_audit", summary.within_bounds,
                       f"{3 * summary.count} residuals in "
                       f"[{summary.min_residual:.2e}, {summary.max_residual:.2e}], "

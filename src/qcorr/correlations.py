@@ -7,7 +7,10 @@ minimization, memoized on the DensityMatrix object per (measured qubit,
 OptimizerConfig), so a later J or D on the same object reuses it. It reads
 the state once into its Bloch form, and one elementwise kernel prices each
 measurement direction in a few flops: on numpy arrays for the coarse grid,
-and on floats as the objective of a two-coordinate Nelder-Mead. Entropies
+and on floats as the objective of a two-coordinate Nelder-Mead whose
+stopping tolerances are the constants REFINE_XATOL and REFINE_FATOL. Only
+projective pairs are searched: kw_audit's residuals bound what a general
+POVM could add on the rank-2 pairs of pure three-qubit states. Entropies
 read the spectrum each DensityMatrix kept, and concurrence reads its kept
 eigenvectors through Wootters' tau matrix. discord has one decomposition,
 and D = I_q - J is a tested property.
@@ -52,14 +55,13 @@ _YY = kron(SIGMA_Y, SIGMA_Y)
 RESIDUAL_LOW = -1e-6
 RESIDUAL_HIGH = 2e-3
 
-# a trine sweep may never undercut the projective minimum by more than this
-TRINE_SLACK = 1e-6
-
 # kernel outcomes with weight at or below this contribute no entropy
 TRACE_FLOOR = 1e-12
 
 # Nelder-Mead stops once its simplex spans less than this in (theta, phi)
+# and its vertex values differ by less than REFINE_FATOL
 REFINE_XATOL = 1e-6
+REFINE_FATOL = 1e-10
 
 # float noise may push a directional measure this far below zero
 MEASURE_FLOOR = -1e-9
@@ -74,21 +76,18 @@ class OptimizerConfig:
     The coarse stage evaluates grid_theta x grid_phi projective directions
     (theta limited to [0, pi/2]: antipodal directions give the same pair);
     the best cell seeds a Nelder-Mead refinement whose first simplex spans
-    one grid cell, capped at refine_iters iterations. Every node of the
+    one grid cell, capped at refine_iters iterations; its tolerances are
+    fixed (REFINE_XATOL, REFINE_FATOL). Every node of the
     default 32 x 64 grid is also a node of 64 x 128, and the two find the
-    same minima to 1e-9 on random and adversarial states. trine_sweep
-    additionally cross-checks the result against a grid of three-outcome
-    measurements.
+    same minima to 1e-9 on random and adversarial states.
     """
 
     grid_theta: int = 32
     grid_phi: int = 64
     refine_iters: int = 200
-    refine_tol: float = 1e-10
-    trine_sweep: bool = False
 
     def __post_init__(self):
-        for name in ("grid_theta", "grid_phi", "refine_iters", "refine_tol"):
+        for name in ("grid_theta", "grid_phi", "refine_iters"):
             if getattr(self, name) <= 0:
                 raise OutOfRangeError(f"OptimizerConfig.{name} must be positive")
 
@@ -262,41 +261,13 @@ def _min_conditional_entropy(rho4: np.ndarray, measured: int,
     # the first simplex spans one grid cell, whatever the cell's angles
     res = minimize(objective, (thetas[i], phis[j]),
                    step=((pi / 2.0) / cfg.grid_theta, (2.0 * pi) / cfg.grid_phi),
-                   maxiter=cfg.refine_iters, xatol=REFINE_XATOL, fatol=cfg.refine_tol)
+                   maxiter=cfg.refine_iters, xatol=REFINE_XATOL, fatol=REFINE_FATOL)
     evals += res.nfev
     if res.fun < values[i, j]:
         best, angles = res.fun, _canonical_angles(*res.x)
     else:
         best, angles = float(values[i, j]), _canonical_angles(thetas[i], phis[j])
-    if cfg.trine_sweep:
-        trine_best, trine_cells = _trine_grid_min(form)
-        evals += trine_cells
-        if trine_best < best - TRINE_SLACK:
-            raise ConsistencyError(
-                f"trine sweep undercut the projective minimum by {best - trine_best:.3e}")
     return best, angles, evals
-
-
-def _trine_grid_min(form: tuple, n_theta: int = 16, n_phi: int = 32,
-                    n_spin: int = 12) -> tuple[float, int]:
-    """Minimum conditional entropy over a grid of trine measurements.
-
-    Each trine: three effects (1 + m_k.sigma)/3 with coplanar unit vectors
-    m_k at 120 degrees; the plane normal sweeps the sphere and the trine
-    spins inside the plane.
-    """
-    th = np.linspace(0.0, pi, n_theta)
-    ph = np.linspace(0.0, 2.0 * pi, n_phi, endpoint=False)
-    al = np.linspace(0.0, 2.0 * pi / 3.0, n_spin, endpoint=False)
-    T, P, A = (x.ravel() for x in np.meshgrid(th, ph, al, indexing='ij'))
-    ct, st, cp, sp = np.cos(T), np.sin(T), np.cos(P), np.sin(P)
-    e1 = np.stack([ct * cp, ct * sp, -st])
-    e2 = np.stack([-sp, cp, np.zeros_like(sp)])
-    total = 0.0
-    for k in range(3):
-        ang = A + 2.0 * pi * k / 3.0
-        total += _effect_entropy(form, *(np.cos(ang) * e1 + np.sin(ang) * e2), 1.0 / 3.0)
-    return float(total.min()), len(T)
 
 
 def _require_two_qubits(rho: DensityMatrix):
@@ -310,31 +281,10 @@ def _direction_name(measured: int) -> str:
     return "leftward" if measured == 1 else "rightward"
 
 
-class _SideMinimum(NamedTuple):
-    """One minimization of a two-qubit state; J and D are both read off it."""
-
-    rho: DensityMatrix
-    measured: int
-    direction: str
-    s_u: float
-    best: float
-    angles: BlochAngles
-    evals: int
-
-    def classical_correlation(self) -> DirectionalMeasure:
-        return DirectionalMeasure(self.s_u - self.best, self.direction, self.angles, self.evals)
-
-    def discord(self) -> DirectionalMeasure:
-        s_m = von_neumann_entropy(partial_trace(self.rho, [1 - self.measured]))
-        value = s_m - von_neumann_entropy(self.rho) + self.best
-        return DirectionalMeasure(value, self.direction, self.angles, self.evals)
-
-
-def _minimize_side(rho: DensityMatrix, measured: int,
-                   cfg: OptimizerConfig | None) -> _SideMinimum:
-    """S(unmeasured) and the minimal conditional entropy, computed once per
-    (rho object, measured, cfg) and then read from rho's memo; discord()
-    adds the two entropies only it needs."""
+def _minimize_side(rho: DensityMatrix, measured: int, cfg: OptimizerConfig | None) -> tuple:
+    """(direction, S(unmeasured), min conditional entropy, angles, evals); all
+    but the direction are computed once per (rho object, measured, cfg) and
+    then read from rho's memo."""
     _require_two_qubits(rho)
     direction = _direction_name(measured)
     key = (measured, cfg or OptimizerConfig())
@@ -342,14 +292,15 @@ def _minimize_side(rho: DensityMatrix, measured: int,
     if found is None:
         s_u = von_neumann_entropy(partial_trace(rho, [measured]))
         found = rho._minima[key] = (s_u, *_min_conditional_entropy(rho.mat, measured, key[1]))
-    return _SideMinimum(rho, measured, direction, *found)
+    return (direction, *found)
 
 
 def classical_correlation(rho: DensityMatrix, measured: int,
                           cfg: OptimizerConfig | None = None) -> DirectionalMeasure:
     """J: entropy of the unmeasured qubit minus the best conditional entropy
     achievable with a projective pair on the measured one."""
-    return _minimize_side(rho, measured, cfg).classical_correlation()
+    direction, s_u, best, angles, evals = _minimize_side(rho, measured, cfg)
+    return DirectionalMeasure(s_u - best, direction, angles, evals)
 
 
 def discord(rho: DensityMatrix, measured: int,
@@ -360,7 +311,9 @@ def discord(rho: DensityMatrix, measured: int,
     D = I_q - J holds is a property the tests check, not a runtime check:
     both forms add the same entropies, only in another order.
     """
-    return _minimize_side(rho, measured, cfg).discord()
+    direction, _, best, angles, evals = _minimize_side(rho, measured, cfg)
+    s_m = von_neumann_entropy(partial_trace(rho, [1 - measured]))
+    return DirectionalMeasure(s_m - von_neumann_entropy(rho) + best, direction, angles, evals)
 
 
 def discord_oracle_grid(rho: DensityMatrix, measured: int, resolution: int) -> float:

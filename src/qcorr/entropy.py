@@ -18,7 +18,7 @@ def entropy_of_spectrum(eigenvalues) -> float:
         raise NotPSDError(f"spectrum has eigenvalue {w.min():.3e} < -{EIG_CLAMP}")
     w = np.clip(w, 0.0, None)
     pos = w[w > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+    return 0.0 - float((pos * np.log2(pos)).sum())  # 0.0 - 0.0 is +0.0, not -0.0
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -18,7 +18,7 @@ class NotPSDError(QcorrError):
 
 
 class NoConvergenceError(QcorrError):
-    """Eigensolver failed to converge."""
+    """An iterative solver stopped before its convergence test passed."""
 
 
 class DimMismatchError(QcorrError):

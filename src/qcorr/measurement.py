@@ -133,20 +133,20 @@ def conditional_entropy(rho: DensityMatrix, povm: Povm, measured: int) -> float:
     return total
 
 
-def _renormalized_pure(vec: np.ndarray, dims) -> PureState:
-    n = np.linalg.norm(vec)
-    if n < 1e-12:
-        raise StateAnnihilatedError("filter annihilated the state (norm < 1e-12)")
-    return PureState(vec / n, dims)
-
-
-def _renormalized_density(mat: np.ndarray, dims) -> DensityMatrix:
+def _transform(state, m: np.ndarray):
+    """m applied to the state and renormalized; the same kind of state comes back."""
+    if isinstance(state, PureState):
+        vec = m @ state.amplitudes
+        n = np.linalg.norm(vec)
+        if n < 1e-12:
+            raise StateAnnihilatedError("filter annihilated the state (norm < 1e-12)")
+        return PureState(vec / n, state.dims)
+    mat = m @ state.mat @ m.conj().T
     tr = float(np.real(mat.trace()))
     if tr < 1e-12:
         raise StateAnnihilatedError("filter annihilated the state (trace < 1e-12)")
-    m = mat / tr
-    m = 0.5 * (m + m.conj().T)
-    return DensityMatrix(m, dims)
+    mat = mat / tr
+    return DensityMatrix(0.5 * (mat + mat.conj().T), state.dims)
 
 
 def apply_filter(state, k, target: int):
@@ -156,24 +156,16 @@ def apply_filter(state, k, target: int):
     k need not be unitary; density matrices map as K rho K+ / Tr[...].
     """
     m = as_square(k, "filter")
-    if isinstance(state, PureState):
-        big = embed_local(m, target, state.dims)
-        return _renormalized_pure(big @ state.amplitudes, state.dims)
-    if isinstance(state, DensityMatrix):
-        big = embed_local(m, target, state.dims)
-        return _renormalized_density(big @ state.mat @ big.conj().T, state.dims)
-    raise DimMismatchError(f"unsupported state type {type(state).__name__}")
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise DimMismatchError(f"unsupported state type {type(state).__name__}")
+    return _transform(state, embed_local(m, target, state.dims))
 
 
 def apply_global_operator(state, k):
     """Like apply_filter, but k acts on the full Hilbert space directly."""
     m = as_square(k, "operator")
-    if isinstance(state, PureState):
-        if m.shape[0] != state.dim:
-            raise DimMismatchError(f"operator dim {m.shape[0]} vs state dim {state.dim}")
-        return _renormalized_pure(m @ state.amplitudes, state.dims)
-    if isinstance(state, DensityMatrix):
-        if m.shape[0] != state.dim:
-            raise DimMismatchError(f"operator dim {m.shape[0]} vs state dim {state.dim}")
-        return _renormalized_density(m @ state.mat @ m.conj().T, state.dims)
-    raise DimMismatchError(f"unsupported state type {type(state).__name__}")
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise DimMismatchError(f"unsupported state type {type(state).__name__}")
+    if m.shape[0] != state.dim:
+        raise DimMismatchError(f"operator dim {m.shape[0]} vs state dim {state.dim}")
+    return _transform(state, m)

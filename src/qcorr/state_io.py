@@ -8,6 +8,7 @@ messages are 0-based.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -20,10 +21,13 @@ def _parse_pair(raw, where: str) -> complex:
     if (not isinstance(raw, (list, tuple)) or len(raw) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw)):
         raise StateFormatError(f"{where}: expected a [re, im] number pair, got {raw!r}")
-    value = complex(float(raw[0]), float(raw[1]))
-    if not np.isfinite(raw[0]) or not np.isfinite(raw[1]):
+    try:
+        re, im = float(raw[0]), float(raw[1])
+    except OverflowError:  # an integer too large for a float
+        re = im = math.inf
+    if not (math.isfinite(re) and math.isfinite(im)):
         raise StateFormatError(f"{where}: non-finite entry {raw!r}")
-    return value
+    return complex(re, im)
 
 
 def parse_state(text: str):
@@ -38,7 +42,8 @@ def parse_state(text: str):
         raise StateFormatError("missing field 'dims'")
     dims = doc["dims"]
     if (not isinstance(dims, list) or not dims
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
+            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1
+                       for d in dims)):
         raise StateFormatError(f"'dims' must be a list of positive integers, got {dims!r}")
     has_matrix = "matrix" in doc
     has_amplitudes = "amplitudes" in doc

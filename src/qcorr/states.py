@@ -21,7 +21,13 @@ from math import prod
 
 import numpy as np
 
-from .exceptions import BadSubsystemError, DimMismatchError, NotPSDError, QcorrError
+from .exceptions import (
+    BadSubsystemError,
+    DimMismatchError,
+    NotHermitianError,
+    NotPSDError,
+    QcorrError,
+)
 from .linalg import EIG_CLAMP, HERM_TOL, _freeze, as_square, hermiticity_defect, kron
 
 TRACE_TOL = 1e-10
@@ -61,7 +67,7 @@ class DensityMatrix:
         dims = _check_dims(dims, m.shape[0])
         defect = hermiticity_defect(m)
         if defect > HERM_TOL:
-            raise QcorrError(f"density matrix is not Hermitian (defect {defect:.3e})")
+            raise NotHermitianError(f"density matrix is not Hermitian (defect {defect:.3e})")
         tr = m.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise QcorrError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")

@@ -214,6 +214,31 @@ def test_kw_audit_deterministic(capsys):
     assert "PASS identity_audit" in err1
 
 
+def test_kw_audit_layout(capsys):
+    # key order and layout in each format; the residual digits are not pinned
+    keys = ["count", "seed", "min_residual", "max_residual", "mean_residual", "within_bounds"]
+    args = ["kw-audit", "--count", "1", "--seed", "7", *FAST_FLAGS, "--format"]
+    code, out, err = run_cli(args + ["json"], capsys)
+    assert code == 0 and out.endswith("}\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    assert list(doc) == keys
+    assert (doc["count"], doc["seed"], doc["within_bounds"]) == (1, 7, True)
+    assert all(isinstance(doc[k], float) for k in keys[2:5])
+    assert err.startswith("PASS identity_audit: 3 residuals in [")
+    code, out, err = run_cli(args + ["csv"], capsys)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "quantity,value"
+    assert [line.split(",")[0] for line in lines[1:]] == keys
+    assert lines[1:3] == ["count,1", "seed,7"] and lines[-1] == "within_bounds,true"
+    assert err.startswith("PASS identity_audit:")
+    code, out, err = run_cli(args + ["table"], capsys)
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert [line[:15] for line in lines[:6]] == [f"{k:<13}  " for k in keys]
+    assert lines[0] == "count          1" and lines[5] == "within_bounds  true"
+    assert lines[6].startswith("PASS identity_audit:") and len(lines) == 7
+
+
 def test_kw_audit_rejects_zero_count(capsys):
     with pytest.raises(SystemExit) as info:
         main(["kw-audit", "--count", "0"])
@@ -224,6 +249,25 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_refine_tol_flag_is_gone(capsys):
+    for command in (["reproduce"], ["measure", "state.json", "--measure", "j"], ["kw-audit"]):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--refine-tol", "1e-10"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --refine-tol" in capsys.readouterr().err
+
+
+def test_measure_product_state_prints_plain_zero(tmp_path, capsys):
+    # the pure |00>: S and J are exactly zero and print as 0, never -0
+    path = tmp_path / "product.json"
+    path.write_text(pure_to_json(qcorr.PureState(np.eye(4)[0], (2, 2))), encoding="utf-8")
+    for kind in ("entropy", "j"):
+        code, out, err = run_cli(
+            ["measure", str(path), "--measure", kind, "--format", "csv", *FAST_FLAGS], capsys)
+        assert code == 0
+        assert "\nvalue,0\n" in out
 
 
 def test_bad_optimizer_flag_reports_error(tmp_path, capsys, pair_post):

@@ -3,6 +3,7 @@ import math
 import sys
 import weakref
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ from qcorr.exceptions import (
 from qcorr.scenario import filter_e, ghz3
 from qcorr.states import sample_pure_state
 
-FAST = OptimizerConfig(grid_theta=24, grid_phi=48, refine_iters=120, refine_tol=1e-10)
+FAST = OptimizerConfig(grid_theta=24, grid_phi=48, refine_iters=120)
 
 
 def random_mixed_pair(seed: int) -> DensityMatrix:
@@ -181,12 +182,12 @@ def test_minimization_shared_per_state_object(monkeypatch):
 
 
 def test_optimizer_config_validation():
-    OptimizerConfig(1, 1, 1, 1e-12)
+    OptimizerConfig(1, 1, 1)
+    assert [f.name for f in fields(OptimizerConfig)] == ["grid_theta", "grid_phi", "refine_iters"]
     for bad in [
         dict(grid_theta=0),
         dict(grid_phi=-3),
         dict(refine_iters=0),
-        dict(refine_tol=0.0),
     ]:
         with pytest.raises(OutOfRangeError):
             OptimizerConfig(**bad)
@@ -477,12 +478,6 @@ def test_min_entropy_monotone_on_random_states():
             values.append(classical_correlation(rho, seed % 2, cfg).value)
         assert values[0] <= values[1] + 1e-9
         assert values[1] <= values[2] + 1e-9
-
-
-def test_trine_sweep_leaves_value_unchanged(pair_post):
-    plain = discord(pair_post, 1, FAST)
-    checked = discord(pair_post, 1, OptimizerConfig(24, 48, 120, 1e-10, trine_sweep=True))
-    assert checked.value == plain.value
 
 
 def test_kernel_matches_scalar_conditional_entropy(pair_pre, pair_post, bell_pair):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcorr import DensityMatrix, frobenius_distance, kron
-from qcorr.exceptions import DimMismatchError, QcorrError
+from qcorr.exceptions import DimMismatchError, NotHermitianError
 
 I2 = np.eye(2)
 
@@ -80,7 +80,7 @@ def test_eig_random_hermitian_invariants(n):
 
 
 def test_eig_rejects_non_hermitian():
-    with pytest.raises(QcorrError, match="not Hermitian"):
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
         DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
 

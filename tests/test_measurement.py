@@ -19,7 +19,12 @@ from qcorr import (
     random_pure_state,
     von_neumann_entropy,
 )
-from qcorr.exceptions import InvalidPovmError, OutOfRangeError, StateAnnihilatedError
+from qcorr.exceptions import (
+    DimMismatchError,
+    InvalidPovmError,
+    OutOfRangeError,
+    StateAnnihilatedError,
+)
 from qcorr.scenario import filter_e, ghz3
 
 
@@ -165,3 +170,17 @@ def test_apply_global_operator_annihilation():
     psi = random_pure_state((2,), 94)
     with pytest.raises(StateAnnihilatedError):
         apply_global_operator(psi, np.zeros((2, 2)))
+
+
+def test_filters_reject_unsupported_state_types():
+    for state in (np.array([1.0, 0.0]), [[1.0, 0.0], [0.0, 0.0]], None):
+        with pytest.raises(DimMismatchError, match="unsupported state type"):
+            apply_filter(state, np.eye(2), 0)
+        with pytest.raises(DimMismatchError, match="unsupported state type"):
+            apply_global_operator(state, np.eye(2))
+
+
+def test_apply_global_operator_rejects_wrong_dimension(pair_pre):
+    for state in (random_pure_state((2, 2), 95), pair_pre):
+        with pytest.raises(DimMismatchError, match="operator dim 2 vs state dim 4"):
+            apply_global_operator(state, np.eye(2))

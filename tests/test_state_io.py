@@ -59,6 +59,8 @@ def test_parse_rejects_structural_errors():
         parse_state('{"matrix": []}')
     with pytest.raises(StateFormatError, match="'dims'"):
         parse_state('{"dims": [2, 0], "amplitudes": []}')
+    with pytest.raises(StateFormatError, match="'dims'"):  # not read as (1, 2)
+        parse_state('{"dims": [true, 2], "amplitudes": [[1, 0], [0, 0]]}')
     with pytest.raises(StateFormatError, match="exactly one"):
         parse_state('{"dims": [2]}')
     with pytest.raises(StateFormatError, match="exactly one"):
@@ -89,6 +91,11 @@ def test_parse_errors_name_the_entry():
 def test_parse_rejects_non_finite():
     doc = '{"dims": [2], "amplitudes": [[1, 0], [NaN, 0]]}'
     with pytest.raises(StateFormatError, match="amplitude row 1"):
+        parse_state(doc)
+    # an integer too large for a float is as non-finite as 1e400
+    huge = "1" + "0" * 400
+    doc = '{"dims": [1], "matrix": [[[0, %s]]]}' % huge
+    with pytest.raises(StateFormatError, match="matrix row 0, column 0: non-finite"):
         parse_state(doc)
 
 
