@@ -46,7 +46,7 @@ def _optimizer_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--grid-phi", type=int, default=64, metavar="N",
                         help="coarse grid columns over phi in [0, 2*pi) (default 64)")
     parser.add_argument("--refine-iters", type=int, default=200, metavar="N",
-                        help="Nelder-Mead iteration cap (default 200)")
+                        help="Newton iteration cap per start (default 200)")
 
 
 def _common_flags(parser: argparse.ArgumentParser):

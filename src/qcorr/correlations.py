@@ -7,9 +7,9 @@ minimization, memoized on the DensityMatrix object per (measured qubit,
 OptimizerConfig), so a later J or D on the same object reuses it. It reads
 the state once into its Bloch form, and one elementwise kernel prices each
 measurement direction in a few flops: on numpy arrays for the coarse grid,
-and on floats as the objective of a two-coordinate Nelder-Mead whose
-stopping tolerances are the constants REFINE_XATOL and REFINE_FATOL. Only
-projective pairs are searched: kw_audit's residuals bound what a general
+and on floats as the objective of a Riemannian Newton refinement on the
+sphere, with closed-form derivatives, run from the best cell and from the
+best of the state's own axes. Only projective pairs are searched: kw_audit's residuals bound what a general
 POVM could add on the rank-2 pairs of pure three-qubit states. Entropies
 read the spectrum each DensityMatrix kept, and concurrence reads its kept
 eigenvectors through Wootters' tau matrix. discord has one decomposition,
@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 from math import pi
-from operator import itemgetter
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,10 +56,19 @@ RESIDUAL_HIGH = 2e-3
 # kernel outcomes with weight at or below this contribute no entropy
 TRACE_FLOOR = 1e-12
 
-# Nelder-Mead stops once its simplex spans less than this in (theta, phi)
-# and its vertex values differ by less than REFINE_FATOL
-REFINE_XATOL = 1e-6
-REFINE_FATOL = 1e-10
+# a Newton start stops once its predicted decrease -g.d is below rounding,
+# NEWTON_STOP * max(1, |f|), or once LINE_HALVINGS halvings of a step, at
+# most STEP_CAP long in the tangent plane, all fail to lower f
+NEWTON_STOP = 1e-15
+LINE_HALVINGS = 30
+STEP_CAP = 0.5
+# g' and g'' diverge as r = |v| / a -> 1, so r is capped at RADIUS_CAP; below
+# SPREAD_FLOOR, g'/|v| takes its limit -1/(a ln 2)
+RADIUS_CAP = 1.0 - 1e-15
+SPREAD_FLOOR = 1e-12
+# a Bloch-form axis shorter than this names no direction
+AXIS_FLOOR = 1e-9
+_LN2 = math.log(2.0)
 
 # float noise may push a directional measure this far below zero
 MEASURE_FLOOR = -1e-9
@@ -74,12 +81,12 @@ class OptimizerConfig:
     """Knobs for the conditional-entropy minimization.
 
     The coarse stage evaluates grid_theta x grid_phi projective directions
-    (theta limited to [0, pi/2]: antipodal directions give the same pair);
-    the best cell seeds a Nelder-Mead refinement whose first simplex spans
-    one grid cell, capped at refine_iters iterations; its tolerances are
-    fixed (REFINE_XATOL, REFINE_FATOL). Every node of the
-    default 32 x 64 grid is also a node of 64 x 128, and the two find the
-    same minima to 1e-9 on random and adversarial states.
+    (theta limited to [0, pi/2]: antipodal directions give the same pair).
+    Newton then starts from the best cell and from the best of the state's
+    own axes, at most refine_iters iterations each, with fixed stopping
+    rules (NEWTON_STOP, LINE_HALVINGS). Every node of the default 32 x 64 grid
+    is also a node of 64 x 128, and the two find the same minima to 1e-9 on
+    random and adversarial states, near-tie X states included.
     """
 
     grid_theta: int = 32
@@ -131,10 +138,10 @@ def _bloch_form(rho4: np.ndarray, measured: int) -> tuple:
     return tuple(map(tuple, r.tolist()))
 
 
-# math stand-ins for the numpy calls the kernel makes, so the Nelder-Mead
+# math stand-ins for the numpy calls the kernel makes, so the Newton
 # objective runs the same formula on plain floats
-_SCALAR = SimpleNamespace(sin=math.sin, cos=math.cos, sqrt=math.sqrt, log2=math.log2,
-                          minimum=min, where=lambda c, a, b: a if c else b)
+_SCALAR = SimpleNamespace(sqrt=math.sqrt, log2=math.log2, minimum=min,
+                          where=lambda c, a, b: a if c else b)
 
 
 def _effect_entropy(form: tuple, n0, n1, n2, weight: float, xp=np):
@@ -160,114 +167,120 @@ def _effect_entropy(form: tuple, n0, n1, n2, weight: float, xp=np):
     return xp.where(live, p * h, 0.0)
 
 
-def _pair_entropy(form: tuple, theta, phi, xp=np):
-    """Conditional entropy of the projective pair along (theta, phi)."""
-    st = xp.sin(theta)
-    n0, n1, n2 = st * xp.cos(phi), st * xp.sin(phi), xp.cos(theta)
+def _pair_entropy(form: tuple, n0, n1, n2, xp=np):
+    """Conditional entropy of the projective pair along the unit vector n."""
     return (_effect_entropy(form, n0, n1, n2, 0.5, xp)
             + _effect_entropy(form, -n0, -n1, -n2, 0.5, xp))
 
 
-def _canonical_angles(theta: float, phi: float) -> BlochAngles:
-    # fold onto theta in [0, pi], phi in [0, 2*pi); the direction is unchanged
-    theta = float(theta) % (2.0 * pi)
-    if theta > pi:
-        theta = 2.0 * pi - theta
-        phi = phi + pi
-    phi = float(phi) % (2.0 * pi)
-    if phi >= 2.0 * pi:
-        phi = 0.0
-    return BlochAngles(theta, phi)
+def _unit(x) -> tuple:
+    norm = math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    return (x[0] / norm, x[1] / norm, x[2] / norm)
 
 
-class NelderMeadResult(NamedTuple):
-    x: tuple
-    fun: float
-    nfev: int
-    nit: int
-    success: bool
-
-
-def minimize(fun, x0, *, step, maxiter: int, xatol: float, fatol: float) -> NelderMeadResult:
-    """Nelder-Mead on two coordinates, with fun taking the point as a tuple.
-
-    The initial simplex is x0, x0 + step[0] e_0 and x0 + step[1] e_1, so the
-    caller sets its size; scipy's default of 5% of each coordinate crawls
-    from x0 = 0 and leaps from large x0. Every arithmetic expression is
-    scipy's and the vertices stay in stable-sorted order by value, so x, fun,
-    nfev, nit and success (both stopping tests passed before maxiter) are
-    bit-identical to scipy's method='Nelder-Mead' (adaptive=False, no bounds,
-    no maxfev) given the same initial simplex.
-    """
-    b0, b1 = map(float, x0)
-    (fb, (b0, b1)), (fs, (s0, s1)), (fw, (w0, w1)) = sorted(
-        ((fun(x), x) for x in ((b0, b1), (b0 + step[0], b1), (b0, b1 + step[1]))),
-        key=itemgetter(0))
-    nfev, nit = 3, 1
-    while nit < maxiter and not (
-            abs(s0 - b0) <= xatol and abs(s1 - b1) <= xatol and abs(w0 - b0) <= xatol
-            and abs(w1 - b1) <= xatol and abs(fb - fs) <= fatol and abs(fb - fw) <= fatol):
-        nit += 1
-        m0, m1 = (b0 + s0) / 2, (b1 + s1) / 2
-        n0, n1 = 2 * m0 - 1 * w0, 2 * m1 - 1 * w1
-        fn = fun((n0, n1))
-        nfev += 1
-        if fn < fb:
-            e0, e1 = 3 * m0 - 2 * w0, 3 * m1 - 2 * w1
-            fe = fun((e0, e1))
-            nfev += 1
-            if fe < fn:
-                fn, n0, n1 = fe, e0, e1
-        elif not fn < fs:
-            fr, outside = fn, fn < fw
-            if outside:
-                n0, n1 = 1.5 * m0 - 0.5 * w0, 1.5 * m1 - 0.5 * w1
-            else:
-                n0, n1 = 0.5 * m0 - -0.5 * w0, 0.5 * m1 - -0.5 * w1
-            fn = fun((n0, n1))
-            nfev += 1
-            if not (fn <= fr if outside else fn < fw):  # shrink halfway toward the best
-                (fb, (b0, b1)), (fs, (s0, s1)), (fw, (w0, w1)) = sorted([(fb, (b0, b1))] + [
-                    (fun(x), x) for x in ((b0 + 0.5 * (s0 - b0), b1 + 0.5 * (s1 - b1)),
-                                          (b0 + 0.5 * (w0 - b0), b1 + 0.5 * (w1 - b1)))],
-                    key=itemgetter(0))
-                nfev += 2
-                continue
-        # the new vertex replaces the worst and goes after any equal value
-        if fn < fb:
-            fb, b0, b1, fs, s0, s1, fw, w0, w1 = fn, n0, n1, fb, b0, b1, fs, s0, s1
-        elif fn < fs:
-            fs, s0, s1, fw, w0, w1 = fn, n0, n1, fs, s0, s1
+def _tangent_derivatives(form: tuple, n, e1, e2) -> tuple:
+    """Gradient (g1, g2) and Hessian (h11, h12, h22) of the pair entropy on the
+    sphere at unit n, in the orthonormal tangent basis e1, e2. With s = +-1,
+    a = Tr rho + s m.n, v = u + s T n, r = |v| / a, w = T^T v / |v| and
+    g(x) = h((1 + x) / 2): f = 1/2 sum_s a g(r), grad f = 1/2 sum_s s [(g - r g') m
+    + g' w], hess f = 1/2 sum_s [g''/a (w - r m)(w - r m)^T + g'/|v| T^T (I - v^ v^T) T],
+    and the sphere's Hessian is P (hess f) P - (n.grad f) P, with P = I - n n^T."""
+    (r00, m0, m1, m2), *rows = form
+    tn, t1, t2 = ([t[1] * x[0] + t[2] * x[1] + t[3] * x[2] for t in rows] for x in (n, e1, e2))
+    mn, me1, me2 = (m0 * x[0] + m1 * x[1] + m2 * x[2] for x in (n, e1, e2))
+    gn = g1 = g2 = h11 = h12 = h22 = 0.0
+    for s in (1.0, -1.0):
+        a = r00 + s * mn
+        if a <= 2.0 * TRACE_FLOOR:  # the kernel counts this outcome as 0
+            continue
+        v0, v1, v2 = rows[0][0] + s * tn[0], rows[1][0] + s * tn[1], rows[2][0] + s * tn[2]
+        spread = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+        r = min(spread / a, RADIUS_CAP)
+        lam = 0.5 + 0.5 * r
+        g = -(lam * math.log2(lam) + (1.0 - lam) * math.log2(1.0 - lam))
+        dg, ca = -math.atanh(r) / _LN2, -1.0 / ((1.0 - r * r) * _LN2 * a)
+        if spread < SPREAD_FLOOR:  # g'/|v| -> -1/(a ln 2); v's direction drops out
+            k, wn, w1, w2 = -1.0 / (a * _LN2), 0.0, 0.0, 0.0
         else:
-            fw, w0, w1 = fn, n0, n1
-    return NelderMeadResult((b0, b1), fb, nfev, nit, nit < maxiter)
+            k = dg / spread
+            wn, w1, w2 = ((v0 * t[0] + v1 * t[1] + v2 * t[2]) / spread for t in (tn, t1, t2))
+        c, q1, q2 = g - r * dg, w1 - r * me1, w2 - r * me2
+        gn += s * (c * mn + dg * wn)
+        g1 += s * (c * me1 + dg * w1)
+        g2 += s * (c * me2 + dg * w2)
+        h11 += ca * q1 * q1 + k * (t1[0] * t1[0] + t1[1] * t1[1] + t1[2] * t1[2] - w1 * w1)
+        h12 += ca * q1 * q2 + k * (t1[0] * t2[0] + t1[1] * t2[1] + t1[2] * t2[2] - w1 * w2)
+        h22 += ca * q2 * q2 + k * (t2[0] * t2[0] + t2[1] * t2[1] + t2[2] * t2[2] - w2 * w2)
+    return 0.5 * g1, 0.5 * g2, 0.5 * (h11 - gn), 0.5 * h12, 0.5 * (h22 - gn)
+
+
+def minimize(fun, x0, *, alternatives, derivatives, maxiter: int) -> SimpleNamespace:
+    """Riemannian Newton on the unit sphere from x0 and from the lowest of the
+    alternatives; the lower end point is returned as .x and .fun.
+
+    fun(n) is the objective at a unit 3-tuple, first called at x0, and
+    derivatives(n, e1, e2) its tangent gradient and Hessian in the
+    orthonormal basis e1, e2, as _tangent_derivatives gives them. A Hessian
+    that is not positive definite is shifted until it is, and steps are
+    retracted by normalizing. nfev counts calls of both functions, nit Newton
+    iterations, and success is whether every start stopped within maxiter."""
+    starts = [(fun(x0), x0)] + sorted((fun(x), x) for x in alternatives)[:1]
+    nfev, nit, success, best = 1 + len(alternatives), 0, True, starts[0]
+    for f, n in starts:
+        for _ in range(maxiter):
+            e1 = _unit((n[1], -n[0], 0.0) if abs(n[2]) < 0.5 else (0.0, n[2], -n[1]))
+            e2 = (n[1] * e1[2] - n[2] * e1[1], n[2] * e1[0] - n[0] * e1[2],
+                  n[0] * e1[1] - n[1] * e1[0])
+            g1, g2, h11, h12, h22 = derivatives(n, e1, e2)
+            shift = max(0.0, math.hypot(0.5 * (h11 - h22), h12) - 0.5 * (h11 + h22)) * 2.0
+            h11, h22 = h11 + shift, h22 + shift
+            det = h11 * h22 - h12 * h12
+            d1, d2 = ((h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det) if det > 0.0 \
+                else (-g1, -g2)
+            scale = min(1.0, STEP_CAP / (math.hypot(d1, d2) or 1.0))
+            nfev, nit, d1, d2 = nfev + 1, nit + 1, scale * d1, scale * d2
+            if -(g1 * d1 + g2 * d2) <= NEWTON_STOP * max(1.0, abs(f)):
+                break
+            for _ in range(LINE_HALVINGS):
+                x = _unit([n[k] + d1 * e1[k] + d2 * e2[k] for k in range(3)])
+                fx, nfev = fun(x), nfev + 1
+                if fx < f:
+                    break
+                d1, d2 = 0.5 * d1, 0.5 * d2
+            else:
+                break
+            f, n = fx, x
+        else:
+            success = False
+        best = best if best[0] <= f else (f, n)
+    return SimpleNamespace(x=best[1], fun=best[0], nfev=nfev, nit=nit, success=success)
 
 
 def _min_conditional_entropy(rho4: np.ndarray, measured: int,
                              cfg: OptimizerConfig) -> tuple[float, BlochAngles, int]:
-    """Coarse grid then Nelder-Mead; ties break to the lowest theta row,
-    then the lowest phi column (row-major argmin)."""
+    """Coarse grid, then Newton from its best cell and from the best of the
+    state's own axes: the eigenvectors of T^T T, m and T^T u. The cell, the
+    first lowest in row-major order, stands unless Newton ends strictly lower."""
     form = _bloch_form(rho4, measured)
     thetas = (pi / 2.0) * np.arange(cfg.grid_theta) / cfg.grid_theta
     phis = (2.0 * pi) * np.arange(cfg.grid_phi) / cfg.grid_phi
-    values = _pair_entropy(form, thetas[:, None], phis[None, :])
-    flat = int(np.argmin(values))
-    i, j = divmod(flat, cfg.grid_phi)
-    evals = values.size
-
-    def objective(x):
-        return _pair_entropy(form, x[0], x[1], _SCALAR)
-
-    # the first simplex spans one grid cell, whatever the cell's angles
-    res = minimize(objective, (thetas[i], phis[j]),
-                   step=((pi / 2.0) / cfg.grid_theta, (2.0 * pi) / cfg.grid_phi),
-                   maxiter=cfg.refine_iters, xatol=REFINE_XATOL, fatol=REFINE_FATOL)
-    evals += res.nfev
-    if res.fun < values[i, j]:
-        best, angles = res.fun, _canonical_angles(*res.x)
-    else:
-        best, angles = float(values[i, j]), _canonical_angles(thetas[i], phis[j])
-    return best, angles, evals
+    st = np.sin(thetas[:, None])
+    n = st * np.cos(phis[None, :]), st * np.sin(phis[None, :]), np.cos(thetas[:, None])
+    values = _pair_entropy(form, *n)
+    i, j = divmod(int(np.argmin(values)), cfg.grid_phi)
+    r = np.array(form)
+    t = r[1:, 1:]
+    axes = [*np.linalg.eigh(t.T @ t)[1].T.tolist(), r[0, 1:].tolist(), (t.T @ r[1:, 0]).tolist()]
+    res = minimize(lambda x: _pair_entropy(form, *x, _SCALAR),
+                   (float(n[0][i, j]), float(n[1][i, j]), float(n[2][i, 0])),
+                   alternatives=[_unit(x) for x in axes if math.hypot(*x) >= AXIS_FLOOR],
+                   derivatives=lambda *a: _tangent_derivatives(form, *a), maxiter=cfg.refine_iters)
+    evals = values.size + res.nfev
+    if not res.fun < values[i, j]:
+        return float(values[i, j]), BlochAngles(float(thetas[i]), float(phis[j])), evals
+    x, y, z = res.x if res.x[2] >= 0.0 else (-res.x[0], -res.x[1], -res.x[2])
+    phi = (math.atan2(y, x) + 2.0 * pi) % (2.0 * pi)  # never 2 pi: fmod is exact
+    return res.fun, BlochAngles(math.acos(min(z, 1.0)), phi), evals
 
 
 def _require_two_qubits(rho: DensityMatrix):

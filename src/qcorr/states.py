@@ -111,7 +111,8 @@ class PureState:
             raise QcorrError("state vector contains non-finite entries")
         dims = self.dims if self.dims else (v.size,)
         dims = _check_dims(dims, v.size)
-        n = np.linalg.norm(v)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+            n = np.linalg.norm(v)
         if abs(n - 1.0) > NORM_TOL:
             raise QcorrError(f"state vector norm deviates from 1 by {abs(n - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _freeze(v.copy()))

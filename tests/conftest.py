@@ -5,10 +5,12 @@ here independently of the package's own builders so tests compare two
 routes rather than one route with itself.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import qcorr.correlations
 from qcorr import DensityMatrix, OptimizerConfig, run_scenario
 
 
@@ -53,3 +55,13 @@ def bell_pair():
 @pytest.fixture(scope="session")
 def scenario_reports():
     return run_scenario(OptimizerConfig())
+
+
+@pytest.fixture
+def unrefined(monkeypatch):
+    """Every minimization returns its first start, the best grid cell,
+    unrefined, so a coarse enough grid misses the optimal direction."""
+    def first_start(fun, x0, **kwargs):
+        return SimpleNamespace(x=x0, fun=fun(x0), nfev=1, nit=0, success=False)
+
+    monkeypatch.setattr(qcorr.correlations, "minimize", first_start)

@@ -55,7 +55,7 @@ def test_reproduce_csv_output(capsys):
     assert abs(float(row.split(",")[2]) - 0.2017520733857121) < 1e-4
 
 
-def test_reproduce_starved_optimizer_fails(capsys):
+def test_reproduce_starved_optimizer_fails(capsys, unrefined):
     code, out, err = run_cli(
         ["reproduce", "--grid-theta", "2", "--grid-phi", "1", "--refine-iters", "1"],
         capsys)
@@ -268,6 +268,21 @@ def test_measure_product_state_prints_plain_zero(tmp_path, capsys):
             ["measure", str(path), "--measure", kind, "--format", "csv", *FAST_FLAGS], capsys)
         assert code == 0
         assert "\nvalue,0\n" in out
+
+
+def test_overflowing_norm_prints_only_the_error_line(tmp_path):
+    # a fresh interpreter, so any numpy warning would reach the real stderr
+    path = tmp_path / "huge.json"
+    path.write_text('{"dims": [2], "amplitudes": [[1e308, 0], [1e308, 0]]}', encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(qcorr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "qcorr", "measure", str(path), "--measure", "entropy"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: state vector norm deviates from 1 by inf\n"
 
 
 def test_bad_optimizer_flag_reports_error(tmp_path, capsys, pair_post):

@@ -160,12 +160,21 @@ def test_acceptance_checks_all_pass(scenario_reports):
         assert check.detail
 
 
-def test_acceptance_checks_fail_with_starved_optimizer():
-    # a 2x1 grid with a single refinement step cannot locate the optimal
-    # direction, so the directional checks must report failure
+def test_acceptance_checks_fail_with_starved_optimizer(unrefined):
+    # a 2x1 grid with no refinement cannot locate the optimal direction, so
+    # the directional checks must report failure
     pre, post = run_scenario(OptimizerConfig(grid_theta=2, grid_phi=1, refine_iters=1))
     by_name = {c.name: c for c in acceptance_checks(pre, post)}
     assert not by_name["discord_asymmetry"].passed
+
+
+def test_one_newton_step_from_the_axes_recovers_a_starved_grid():
+    # the scenario's pairs are X states whose optimum is an axis, and the
+    # state's own axes seed the refinement, so even a 2x1 grid with one
+    # Newton step per start lands on target
+    pre, post = run_scenario(OptimizerConfig(grid_theta=2, grid_phi=1, refine_iters=1))
+    by_name = {c.name: c for c in acceptance_checks(pre, post)}
+    assert by_name["discord_asymmetry"].passed
 
 
 def test_build_report_stage_label_passthrough():
