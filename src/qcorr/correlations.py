@@ -7,13 +7,13 @@ minimization, memoized on the DensityMatrix object per (measured qubit,
 OptimizerConfig), so a later J or D on the same object reuses it. It reads
 the state once into its Bloch form, and one elementwise kernel prices each
 measurement direction in a few flops: on numpy arrays for the coarse grid,
-and on floats as the objective of a Riemannian Newton refinement on the
-sphere, with closed-form derivatives, run from the best cell and from the
-best of the state's own axes. Only projective pairs are searched: kw_audit's residuals bound what a general
-POVM could add on the rank-2 pairs of pure three-qubit states. Entropies
-read the spectrum each DensityMatrix kept, and concurrence reads its kept
-eigenvectors through Wootters' tau matrix. discord has one decomposition,
-and D = I_q - J is a tested property.
+and on floats as the objective of a Newton refinement on the sphere, with
+closed-form derivatives, from the best cell and the best of the state's own
+axes. Only projective pairs are searched: kw_audit's residuals bound what a
+general POVM could add on the rank-2 pairs of pure three-qubit states.
+Entropies read the spectrum each DensityMatrix kept, and concurrence reads
+its kept eigenvectors through Wootters' tau matrix. discord has one
+decomposition, and D = I_q - J is a tested property.
 discord_oracle_grid re-derives everything through a separate brute-force
 route (embedded effects, index-by-index partial traces) so the two can
 certify each other.

@@ -40,7 +40,6 @@ from qcorr.correlations import (
     _SCALAR,
     _bloch_form,
     _effect_entropy,
-    _min_conditional_entropy,
     _pair_entropy,
     _tangent_derivatives,
     minimize,
@@ -94,12 +93,6 @@ def random_qubit(rng) -> np.ndarray:
     return 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1 - r[2]]])
 
 
-def pair_entropy_along(form: tuple, n) -> float:
-    n0, n1, n2 = map(float, n)
-    return (_effect_entropy(form, n0, n1, n2, 0.5, _SCALAR)
-            + _effect_entropy(form, -n0, -n1, -n2, 0.5, _SCALAR))
-
-
 def near_tie_x_state(rng) -> tuple[np.ndarray, int]:
     """A locally rotated X state and a measured side on which, before the
     rotation and with real coherences, measuring sigma_z and the better of
@@ -115,7 +108,7 @@ def near_tie_x_state(rng) -> tuple[np.ndarray, int]:
         side = int(rng.integers(2))
         x = np.array([[a, 0, 0, w], [0, b, z, 0], [0, np.conj(z), c, 0], [np.conj(w), 0, 0, d]])
         form = _bloch_form(abs(x).astype(complex), side)
-        fz, fx, fy = (pair_entropy_along(form, n) for n in np.eye(3)[[2, 0, 1]])
+        fz, fx, fy = (_pair_entropy(form, *n, _SCALAR) for n in np.eye(3)[[2, 0, 1]])
         if abs(fz - min(fx, fy)) <= NEAR_TIE:
             u = kron(haar_unitary(*g[0]), haar_unitary(*g[1]))
             return u @ x @ u.conj().T, side
@@ -568,7 +561,7 @@ def test_tangent_derivatives_match_central_differences():
 
                 def f(t1, t2):
                     x = n + t1 * e1 + t2 * e2
-                    return pair_entropy_along(form, x / np.linalg.norm(x))
+                    return _pair_entropy(form, *(x / np.linalg.norm(x)), _SCALAR)
 
                 g1, g2, h11, h12, h22 = _tangent_derivatives(form, *(tuple(v) for v in (n, e1, e2)))
                 fd_g = ((f(h, 0) - f(-h, 0)) / (2 * h), (f(0, h) - f(0, -h)) / (2 * h))
@@ -591,11 +584,11 @@ def test_newton_never_ends_above_its_first_start(monkeypatch):
             form = _bloch_form(rho.mat, measured)
             for maxiter in (1, 200):
                 x0 = tuple(tangent_frame(rng)[0].tolist())
-                res = minimize(lambda x: pair_entropy_along(form, x), x0,
+                res = minimize(lambda x: _pair_entropy(form, *x, _SCALAR), x0,
                                alternatives=[tuple(v) for v in np.eye(3)], maxiter=maxiter,
                                derivatives=lambda *a: _tangent_derivatives(form, *a))
-                assert res.fun <= pair_entropy_along(form, x0)
-                assert res.fun == pair_entropy_along(form, res.x)
+                assert res.fun <= _pair_entropy(form, *x0, _SCALAR)
+                assert res.fun == _pair_entropy(form, *res.x, _SCALAR)
                 outcomes.add((maxiter, res.success))
     assert {(1, False), (200, True)} <= outcomes and (200, False) not in outcomes
     # through the optimizer: one Newton step per start cannot converge here
