@@ -9,7 +9,6 @@ one qubit of a classically correlated state creates one-way discord.
 from .correlations import (
     AuditSummary,
     DirectionalMeasure,
-    OptimizerConfig,
     classical_correlation,
     concurrence,
     discord,
@@ -58,7 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditSummary", "BlochAngles", "CorrelationReport", "DensityMatrix",
     "DirectionalMeasure", "MeasurementOutcome",
-    "OptimizerConfig", "Povm", "PureState", "QcorrError", "ReferenceValues",
+    "Povm", "PureState", "QcorrError", "ReferenceValues",
     "acceptance_checks", "apply_filter", "apply_global_operator",
     "binary_entropy", "build_report", "classical_correlation",
     "concurrence", "conditional_entropy", "density_from_pure",

@@ -16,7 +16,6 @@ import argparse
 import sys
 
 from .correlations import (
-    OptimizerConfig,
     classical_correlation,
     concurrence,
     discord,
@@ -40,25 +39,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _optimizer_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--grid-theta", type=int, default=32, metavar="N",
-                        help="coarse grid rows over theta in [0, pi/2] (default 32)")
-    parser.add_argument("--grid-phi", type=int, default=64, metavar="N",
-                        help="coarse grid columns over phi in [0, 2*pi) (default 64)")
-    parser.add_argument("--refine-iters", type=int, default=200, metavar="N",
-                        help="Newton iteration cap per start (default 200)")
-
-
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=FORMATS, default="table",
                         help="output format (default table)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the report to PATH instead of stdout")
-
-
-def _config_from(args) -> OptimizerConfig:
-    return OptimizerConfig(grid_theta=args.grid_theta, grid_phi=args.grid_phi,
-                           refine_iters=args.refine_iters)
 
 
 def _emit(text: str, args):
@@ -79,8 +64,7 @@ def _check_line(name: str, passed: bool, detail: str) -> str:
 
 
 def cmd_reproduce(args) -> int:
-    cfg = _config_from(args)
-    pre, post = run_scenario(cfg)
+    pre, post = run_scenario()
     checks = acceptance_checks(pre, post)
     if args.format == "json":
         _emit(reproduce_json(pre, post, checks), args)
@@ -95,7 +79,6 @@ def cmd_reproduce(args) -> int:
 
 
 def _measure_fields(args, rho: DensityMatrix) -> list[tuple[str, str]]:
-    cfg = _config_from(args)
     kind = args.measure
     fields: list[tuple[str, str]] = [("measure", kind)]
     if kind == "entropy":
@@ -108,7 +91,7 @@ def _measure_fields(args, rho: DensityMatrix) -> list[tuple[str, str]]:
         fields.append(("value", fmt12(concurrence(rho))))
     else:  # discord | j
         fn = discord if kind == "discord" else classical_correlation
-        m = fn(rho, args.measured, cfg)
+        m = fn(rho, args.measured)
         fields += [
             ("value", fmt12(m.value)),
             ("measured", str(args.measured)),
@@ -143,8 +126,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_kw_audit(args) -> int:
-    cfg = _config_from(args)
-    summary = kw_audit(args.count, args.seed, cfg)
+    summary = kw_audit(args.count, args.seed)
     fields = [
         ("count", str(summary.count)),
         ("seed", str(summary.seed)),
@@ -170,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run and check the built-in demonstration")
     _common_flags(p)
-    _optimizer_flags(p)
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("measure", help="evaluate one measure on a state file")
@@ -180,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measured", type=int, choices=(0, 1), default=1,
                    help="which qubit the optimized measurement acts on (default 1)")
     _common_flags(p)
-    _optimizer_flags(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("kw-audit", help="randomized entropy-identity audit")
@@ -188,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of random states (default 100)")
     p.add_argument("--seed", type=int, default=7, help="sampler seed (default 7)")
     _common_flags(p)
-    _optimizer_flags(p)
     p.set_defaults(func=cmd_kw_audit)
     return parser
 

@@ -15,7 +15,8 @@ from math import atanh, log, sqrt
 import numpy as np
 
 from .correlations import (
-    OptimizerConfig,
+    RESIDUAL_HIGH,
+    RESIDUAL_LOW,
     classical_correlation,
     concurrence,
     discord,
@@ -75,10 +76,9 @@ def reference_values() -> ReferenceValues:
     return ReferenceValues(s, 2.0 * s - 1.0, 1.0 - s)
 
 
-def build_report(psi: PureState, stage: str, cfg: OptimizerConfig | None = None,
+def build_report(psi: PureState, stage: str, *,
                  equivalence_distance: float | None = None) -> CorrelationReport:
     """Compute the full measure table for a pure three-qubit state."""
-    cfg = cfg or OptimizerConfig()
     rho = density_from_pure(psi)
     marginals = {}
     for i, name in enumerate(LABELS):
@@ -100,8 +100,8 @@ def build_report(psi: PureState, stage: str, cfg: OptimizerConfig | None = None,
         # minimization through the memo on `pair`
         for pos, measured_label in ((0, LABELS[i]), (1, LABELS[j])):
             key = f"{name}_measure{measured_label}"
-            j_vals[key] = classical_correlation(pair, pos, cfg).value
-            d_vals[key] = discord(pair, pos, cfg).value
+            j_vals[key] = classical_correlation(pair, pos).value
+            d_vals[key] = discord(pair, pos).value
     kw = {
         "ABC": marginals["A"] - eofs["AB"] - j_vals["AC_measureC"],
         "BCA": marginals["B"] - eofs["BC"] - j_vals["AB_measureA"],
@@ -121,21 +121,20 @@ def build_report(psi: PureState, stage: str, cfg: OptimizerConfig | None = None,
     )
 
 
-def run_scenario(cfg: OptimizerConfig | None = None) -> tuple[CorrelationReport, CorrelationReport]:
+def run_scenario() -> tuple[CorrelationReport, CorrelationReport]:
     """Pre and post tables for the GHZ-plus-filter demonstration.
 
     The post state is produced by the local filter on C; a second route
     through the equivalent two-qubit operator on A and B must give the
     same global state, and that distance is recorded in the post report.
     """
-    cfg = cfg or OptimizerConfig()
     psi = ghz3()
-    pre = build_report(psi, "pre", cfg)
+    pre = build_report(psi, "pre")
     filtered = apply_filter(psi, filter_e(), 2)
     alternate = apply_global_operator(psi, kron(operator_mab(), np.eye(2)))
     distance = frobenius_distance(density_from_pure(filtered).mat,
                                   density_from_pure(alternate).mat)
-    post = build_report(filtered, "post", cfg, equivalence_distance=distance)
+    post = build_report(filtered, "post", equivalence_distance=distance)
     return pre, post
 
 
@@ -199,7 +198,7 @@ def acceptance_checks(pre: CorrelationReport, post: CorrelationReport) -> list[C
 
     residuals = list(pre.kw_residuals.values()) + list(post.kw_residuals.values())
     add("identity_residuals",
-        all(-1e-6 <= r <= 2e-3 for r in residuals),
+        all(RESIDUAL_LOW <= r <= RESIDUAL_HIGH for r in residuals),
         f"residuals in [{min(residuals):.2e}, {max(residuals):.2e}], "
         "bounds [-1e-6, 2e-3]")
 

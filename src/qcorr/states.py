@@ -57,7 +57,7 @@ class DensityMatrix:
     dims: tuple[int, ...] = field(default=())
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
-    # (measured, OptimizerConfig) -> (S_u, best, angles, evals), filled by
+    # measured -> (S_u, best, angles, evals), filled by
     # qcorr.correlations; numbers only, so no reference cycle through the state
     _minima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

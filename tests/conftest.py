@@ -5,13 +5,14 @@ here independently of the package's own builders so tests compare two
 routes rather than one route with itself.
 """
 import math
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import qcorr.correlations
-from qcorr import DensityMatrix, OptimizerConfig, run_scenario
+from qcorr import DensityMatrix, run_scenario
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +55,7 @@ def bell_pair():
 
 @pytest.fixture(scope="session")
 def scenario_reports():
-    return run_scenario(OptimizerConfig())
+    return run_scenario()
 
 
 @pytest.fixture
@@ -65,3 +66,21 @@ def unrefined(monkeypatch):
         return SimpleNamespace(x=x0, fun=fun(x0), nfev=1, nit=0, success=False)
 
     monkeypatch.setattr(qcorr.correlations, "minimize", first_start)
+
+
+@pytest.fixture
+def optimizer_constants():
+    """A context manager that sets qcorr.correlations' GRID_THETA, GRID_PHI
+    or NEWTON_MAXITER, given as keywords, and restores them on exit.
+
+    Minima are memoized per (state object, measured qubit), so a minimum
+    taken under patched constants must land on a state made for it, or come
+    from _min_conditional_entropy directly, never on a shared fixture."""
+    @contextmanager
+    def patched(**values):
+        with pytest.MonkeyPatch.context() as m:
+            for name, value in values.items():
+                m.setattr(qcorr.correlations, name, value)
+            yield
+
+    return patched

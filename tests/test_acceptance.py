@@ -11,10 +11,10 @@ import math
 import numpy as np
 import pytest
 
+import qcorr.correlations
 from qcorr import (
     BlochAngles,
     DensityMatrix,
-    OptimizerConfig,
     apply_filter,
     classical_correlation,
     concurrence,
@@ -163,7 +163,7 @@ def test_optimizer_agrees_with_exhaustive_grid(criterion, pair_pre, pair_post):
                f"max |grid - optimizer| = {worst:.2e} over 54 states (tol 1e-4)")
 
 
-def test_property_suites(criterion, pair_pre, pair_post):
+def test_property_suites(criterion, pair_pre, pair_post, monkeypatch, optimizer_constants):
     # bipartition entropy equality on random pure tripartite states
     bip_dev = 0.0
     for seed in range(5):
@@ -187,13 +187,25 @@ def test_property_suites(criterion, pair_pre, pair_post):
         total = sum(o.probability for o in measure_subsystem(rho, povm, 1))
         prob_dev = max(prob_dev, abs(total - 1.0))
 
-    # J nondecreasing as the search grid is refined (nodes are nested)
+    # J nondecreasing as the search grid is refined (nodes are nested); each
+    # grid measures a state of its own, so none reads another's memoized minimum
+    minimizations = []
+    real_minimize = qcorr.correlations.minimize
+
+    def counting(*args, **kwargs):
+        minimizations.append(args)
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(qcorr.correlations, "minimize", counting)
     monotone = True
     for rho, slack in ((pair_post, 0.0), (_random_pair(3200), 1e-9)):
-        values = [classical_correlation(
-            rho, 1, OptimizerConfig(n, 2 * n, 80)).value for n in (16, 32, 64)]
+        values = []
+        for n in (16, 32, 64):
+            with optimizer_constants(GRID_THETA=n, GRID_PHI=2 * n, NEWTON_MAXITER=80):
+                values.append(classical_correlation(DensityMatrix(rho.mat, (2, 2)), 1).value)
         monotone = monotone and values[0] <= values[1] + slack
         monotone = monotone and values[1] <= values[2] + slack
+    assert len(minimizations) == 6
 
     # discord equals total minus classical correlations on every call
     form_dev = 0.0

@@ -14,8 +14,6 @@ from qcorr.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-FAST_FLAGS = ["--grid-theta", "24", "--grid-phi", "48", "--refine-iters", "120"]
-
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -55,10 +53,9 @@ def test_reproduce_csv_output(capsys):
     assert abs(float(row.split(",")[2]) - 0.2017520733857121) < 1e-4
 
 
-def test_reproduce_starved_optimizer_fails(capsys, unrefined):
-    code, out, err = run_cli(
-        ["reproduce", "--grid-theta", "2", "--grid-phi", "1", "--refine-iters", "1"],
-        capsys)
+def test_reproduce_starved_optimizer_fails(capsys, unrefined, optimizer_constants):
+    with optimizer_constants(GRID_THETA=2, GRID_PHI=1, NEWTON_MAXITER=1):
+        code, out, err = run_cli(["reproduce"], capsys)
     assert code == 1
     assert "FAIL discord_asymmetry" in out
 
@@ -117,7 +114,7 @@ def test_measure_discord_on_state_file(tmp_path, capsys, pair_post):
     path.write_text(density_to_json(pair_post), encoding="utf-8")
     code, out, err = run_cli(
         ["measure", str(path), "--measure", "discord", "--measured", "1",
-         "--format", "json", *FAST_FLAGS], capsys)
+         "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["measure"] == "discord"
@@ -132,7 +129,7 @@ def test_measure_j_direction_flag(tmp_path, capsys, pair_post):
     path.write_text(density_to_json(pair_post), encoding="utf-8")
     code, out, err = run_cli(
         ["measure", str(path), "--measure", "j", "--measured", "0",
-         "--format", "json", *FAST_FLAGS], capsys)
+         "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["direction"] == "rightward"
@@ -203,7 +200,7 @@ def test_measure_missing_file(capsys):
 
 
 def test_kw_audit_deterministic(capsys):
-    args = ["kw-audit", "--count", "1", "--seed", "7", "--format", "json", *FAST_FLAGS]
+    args = ["kw-audit", "--count", "1", "--seed", "7", "--format", "json"]
     code1, out1, err1 = run_cli(args, capsys)
     code2, out2, err2 = run_cli(args, capsys)
     assert code1 == code2 == 0
@@ -217,7 +214,7 @@ def test_kw_audit_deterministic(capsys):
 def test_kw_audit_layout(capsys):
     # key order and layout in each format; the residual digits are not pinned
     keys = ["count", "seed", "min_residual", "max_residual", "mean_residual", "within_bounds"]
-    args = ["kw-audit", "--count", "1", "--seed", "7", *FAST_FLAGS, "--format"]
+    args = ["kw-audit", "--count", "1", "--seed", "7", "--format"]
     code, out, err = run_cli(args + ["json"], capsys)
     assert code == 0 and out.endswith("}\n") and out.count("\n") == 1
     doc = json.loads(out)
@@ -245,6 +242,11 @@ def test_kw_audit_rejects_zero_count(capsys):
     assert info.value.code == 2
 
 
+def test_kw_audit_negative_seed_reports_error(capsys):
+    code, out, err = run_cli(["kw-audit", "--count", "1", "--seed", "-1"], capsys)
+    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
+
 def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
@@ -252,11 +254,13 @@ def test_missing_subcommand_exits_2(capsys):
 
 
 def test_refine_tol_flag_is_gone(capsys):
+    # the optimizer takes no settings from the command line
     for command in (["reproduce"], ["measure", "state.json", "--measure", "j"], ["kw-audit"]):
-        with pytest.raises(SystemExit) as info:
-            main([*command, "--refine-tol", "1e-10"])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --refine-tol" in capsys.readouterr().err
+        for flag in ("--refine-tol", "--grid-theta", "--grid-phi", "--refine-iters"):
+            with pytest.raises(SystemExit) as info:
+                main([*command, flag, "3"])
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_measure_product_state_prints_plain_zero(tmp_path, capsys):
@@ -265,7 +269,7 @@ def test_measure_product_state_prints_plain_zero(tmp_path, capsys):
     path.write_text(pure_to_json(qcorr.PureState(np.eye(4)[0], (2, 2))), encoding="utf-8")
     for kind in ("entropy", "j"):
         code, out, err = run_cli(
-            ["measure", str(path), "--measure", kind, "--format", "csv", *FAST_FLAGS], capsys)
+            ["measure", str(path), "--measure", kind, "--format", "csv"], capsys)
         assert code == 0
         assert "\nvalue,0\n" in out
 
@@ -285,22 +289,18 @@ def test_overflowing_norm_prints_only_the_error_line(tmp_path):
     assert result.stderr == "error: state vector norm deviates from 1 by inf\n"
 
 
-def test_bad_optimizer_flag_reports_error(tmp_path, capsys, pair_post):
-    path = tmp_path / "pair.json"
-    path.write_text(density_to_json(pair_post), encoding="utf-8")
-    code, out, err = run_cli(
-        ["measure", str(path), "--measure", "discord", "--grid-theta", "-4"], capsys)
-    assert code == 2
-    assert err.startswith("error:")
-
-
 def test_module_entry_point():
     result = subprocess.run(
-        [sys.executable, "-m", "qcorr", "reproduce", "--format", "json",
-         "--grid-theta", "24", "--grid-phi", "48", "--refine-iters", "120"],
+        [sys.executable, "-m", "qcorr", "reproduce", "--format", "json"],
         capture_output=True, text=True, timeout=120)
     assert result.returncode in (0, 1)
     json.loads(result.stdout)  # stdout holds only the document
+
+
+def test_all_exports_resolve_once():
+    # a stale name in __all__ would break `from qcorr import *`
+    assert len(qcorr.__all__) == len(set(qcorr.__all__))
+    assert [name for name in qcorr.__all__ if not hasattr(qcorr, name)] == []
 
 
 def test_import_loads_no_scipy():

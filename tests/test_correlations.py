@@ -3,7 +3,6 @@ import math
 import sys
 import weakref
 from collections import Counter
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from qcorr import (
     BlochAngles,
     DensityMatrix,
     PureState,
-    OptimizerConfig,
     Povm,
     apply_filter,
     classical_correlation,
@@ -40,6 +38,7 @@ from qcorr.correlations import (
     _SCALAR,
     _bloch_form,
     _effect_entropy,
+    _min_conditional_entropy,
     _pair_entropy,
     _tangent_derivatives,
     minimize,
@@ -52,8 +51,6 @@ from qcorr.exceptions import (
 )
 from qcorr.scenario import filter_e, ghz3
 from qcorr.states import sample_pure_state
-
-FAST = OptimizerConfig(grid_theta=24, grid_phi=48, refine_iters=120)
 
 # a near-tie X state's sigma_z and best sigma_x/sigma_y conditional entropies
 # differ by at most this; NEAR_TIE_COUNT such states make the fixed family
@@ -198,15 +195,12 @@ def test_minimization_shared_per_state_object(monkeypatch):
     before = repr(rho)
     first = {side: (discord(rho, side), classical_correlation(rho, side)) for side in (0, 1)}
     for side in (0, 1):
-        assert (discord(rho, side), classical_correlation(rho, side, OptimizerConfig())) == first[side]
+        assert (discord(rho, side), classical_correlation(rho, side)) == first[side]
     assert len(calls) == 2
-    discord(rho, 0, FAST)
-    classical_correlation(rho, 0, FAST)
-    assert len(calls) == 3
     twin = DensityMatrix(mat, (2, 2))
     for side in (0, 1):
         assert (discord(twin, side), classical_correlation(twin, side)) == first[side]
-    assert len(calls) == 5
+    assert len(calls) == 4
     assert repr(rho) == before
 
     # the memo holds numbers only: with the collector off, refcounting alone
@@ -220,21 +214,9 @@ def test_minimization_shared_per_state_object(monkeypatch):
         gc.enable()
 
 
-def test_optimizer_config_validation():
-    OptimizerConfig(1, 1, 1)
-    assert [f.name for f in fields(OptimizerConfig)] == ["grid_theta", "grid_phi", "refine_iters"]
-    for bad in [
-        dict(grid_theta=0),
-        dict(grid_phi=-3),
-        dict(refine_iters=0),
-    ]:
-        with pytest.raises(OutOfRangeError):
-            OptimizerConfig(**bad)
-
-
 def test_classical_correlation_classical_pair(pair_pre):
     for measured, direction in [(0, "rightward"), (1, "leftward")]:
-        j = classical_correlation(pair_pre, measured, FAST)
+        j = classical_correlation(pair_pre, measured)
         assert abs(j.value - 1.0) < 1e-9
         assert j.direction == direction
         assert j.optimizer_evals > 0
@@ -242,8 +224,8 @@ def test_classical_correlation_classical_pair(pair_pre):
 
 def test_classical_correlation_filtered_pair(pair_post, entropy_constant):
     # measuring the filtered side recovers less than measuring the pointer
-    left = classical_correlation(pair_post, 1, FAST)
-    right = classical_correlation(pair_post, 0, FAST)
+    left = classical_correlation(pair_post, 1)
+    right = classical_correlation(pair_post, 0)
     assert abs(left.value - (1.0 - entropy_constant)) < 1e-9
     assert abs(right.value - entropy_constant) < 1e-9
 
@@ -251,33 +233,33 @@ def test_classical_correlation_filtered_pair(pair_post, entropy_constant):
 def test_classical_correlation_product_state():
     rho = DensityMatrix(kron(np.diag([0.2, 0.8]), np.diag([0.6, 0.4])), (2, 2))
     for measured in (0, 1):
-        assert classical_correlation(rho, measured, FAST).value < 1e-6
+        assert classical_correlation(rho, measured).value < 1e-6
 
 
 def test_directional_guards(pair_pre):
     with pytest.raises(DimMismatchError):
-        classical_correlation(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), 0, FAST)
+        classical_correlation(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), 0)
     with pytest.raises(BadSubsystemError):
-        classical_correlation(pair_pre, 2, FAST)
+        classical_correlation(pair_pre, 2)
     with pytest.raises(BadSubsystemError):
-        discord(pair_pre, -1, FAST)
+        discord(pair_pre, -1)
 
 
 def test_discord_classical_pair_vanishes(pair_pre):
     for measured in (0, 1):
-        assert discord(pair_pre, measured, FAST).value < 1e-6
+        assert discord(pair_pre, measured).value < 1e-6
 
 
 def test_discord_filtered_pair(pair_post, entropy_constant):
-    left = discord(pair_post, 1, FAST)
-    right = discord(pair_post, 0, FAST)
+    left = discord(pair_post, 1)
+    right = discord(pair_post, 0)
     assert abs(left.value - (2.0 * entropy_constant - 1.0)) < 1e-9
     assert right.value < 1e-6
 
 
 def test_discord_bell_state(bell_pair):
     for measured in (0, 1):
-        d = discord(bell_pair, measured, FAST)
+        d = discord(bell_pair, measured)
         assert abs(d.value - 1.0) < 1e-9
 
 
@@ -285,8 +267,8 @@ def test_discord_equals_mi_minus_j_on_random_states():
     for seed in range(5):
         rho = random_mixed_pair(200 + seed)
         measured = seed % 2
-        d = discord(rho, measured, FAST)
-        j = classical_correlation(rho, measured, FAST)
+        d = discord(rho, measured)
+        j = classical_correlation(rho, measured)
         iq = mutual_information(rho, [0])
         assert abs(d.value - (iq - j.value)) < 1e-9
 
@@ -410,14 +392,14 @@ def test_eof_monotone_in_schmidt_weight():
 def test_residual_identity_on_shared_triple():
     psi = ghz3()
     for a, b, c in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        r = koashi_winter_residual(psi, a, b, c, FAST)
+        r = koashi_winter_residual(psi, a, b, c)
         assert RESIDUAL_LOW <= r <= RESIDUAL_HIGH
 
 
 def test_residual_identity_on_filtered_triple():
     psi = apply_filter(ghz3(), filter_e(), 2)
     for a, b, c in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        r = koashi_winter_residual(psi, a, b, c, FAST)
+        r = koashi_winter_residual(psi, a, b, c)
         assert RESIDUAL_LOW <= r <= RESIDUAL_HIGH
 
 
@@ -434,32 +416,36 @@ def test_residual_vanishes_on_sampled_pure_triples():
 def test_residual_rejects_bad_indices():
     psi = ghz3()
     with pytest.raises(BadPermutationError):
-        koashi_winter_residual(psi, 0, 1, 1, FAST)
+        koashi_winter_residual(psi, 0, 1, 1)
     with pytest.raises(DimMismatchError):
-        koashi_winter_residual(random_pure_state((2, 4), 211), 0, 1, 2, FAST)
+        koashi_winter_residual(random_pure_state((2, 4), 211), 0, 1, 2)
 
 
 def test_kw_audit_deterministic_and_bounded():
-    first = kw_audit(3, 17, FAST)
-    second = kw_audit(3, 17, FAST)
+    first = kw_audit(3, 17)
+    second = kw_audit(3, 17)
     assert first == second
     assert isinstance(first, AuditSummary)
     assert first.count == 3 and first.seed == 17
     assert first.within_bounds
     assert first.min_residual <= first.mean_residual <= first.max_residual
-    with pytest.raises(OutOfRangeError):
-        kw_audit(0, 17, FAST)
+    for count, seed in ((0, 17), (1, -1)):
+        with pytest.raises(OutOfRangeError):
+            kw_audit(count, seed)
 
 
-@pytest.mark.parametrize("seed, cfg", [(0, None), (17, None), (29, FAST)])
-def test_kw_audit_equals_residual_over_the_same_states(seed, cfg):
+@pytest.mark.parametrize("seed, cfg", [
+    (0, None), (17, None), (29, dict(GRID_THETA=24, GRID_PHI=48, NEWTON_MAXITER=120))])
+def test_kw_audit_equals_residual_over_the_same_states(seed, cfg, optimizer_constants):
     # the audit shares each state's marginals across labelings; every
-    # residual must still be the one koashi_winter_residual computes alone
-    summary = kw_audit(4, seed, cfg)
-    rng = np.random.default_rng(seed)
-    residuals = np.array([koashi_winter_residual(psi, a, b, c, cfg)
-                          for psi in [sample_pure_state((2, 2, 2), rng) for _ in range(4)]
-                          for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))])
+    # residual must still be the one koashi_winter_residual computes alone,
+    # under the default optimizer constants and under others
+    with optimizer_constants(**(cfg or {})):
+        summary = kw_audit(4, seed)
+        rng = np.random.default_rng(seed)
+        residuals = np.array([koashi_winter_residual(psi, a, b, c)
+                              for psi in [sample_pure_state((2, 2, 2), rng) for _ in range(4)]
+                              for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))])
     assert (summary.min_residual, summary.max_residual, summary.mean_residual) == (
         float(residuals.min()), float(residuals.max()), float(residuals.mean()))
 
@@ -471,37 +457,47 @@ def test_kw_audit_decomposes_each_state_once(monkeypatch):
     assert counts == {"density_from_pure": 1, "partial_trace": 9, "minimize": 3}
 
 
-def test_default_grid_agrees_with_finer_grid_on_adversarial_states(monkeypatch):
+def test_default_grid_agrees_with_finer_grid_on_adversarial_states(monkeypatch,
+                                                                    optimizer_constants):
     calls = recording_minimize(monkeypatch)
-    fine = OptimizerConfig(64, 128)
     cases = [(rho, m) for rho in adversarial_pairs(808, 20) for m in (0, 1)] + near_tie_pairs()
-    worst = 0.0
-    for rho, measured in cases:
-        default = classical_correlation(rho, measured).value
-        worst = max(worst, abs(default - classical_correlation(rho, measured, fine).value))
+    default = [classical_correlation(rho, measured).value for rho, measured in cases]
+    with optimizer_constants(GRID_THETA=64, GRID_PHI=128):
+        # fresh states, so the memo cannot hand back the default minima
+        fine = [classical_correlation(DensityMatrix(rho.mat, (2, 2)), measured).value
+                for rho, measured in cases]
+    worst = max(abs(a - b) for a, b in zip(default, fine))
     assert worst <= 1e-9
     assert len(calls) == 2 * len(cases)
     assert [result for result in calls if not result.success] == []
 
 
-def test_min_entropy_monotone_under_grid_refinement(pair_post):
-    # doubling both grids keeps every old node, so J cannot decrease
+def grid_minima(mat: np.ndarray, measured: int, optimizer_constants) -> list[float]:
+    """The minimum conditional entropy on the 16 x 32, 32 x 64 and 64 x 128
+    grids, each refined with at most 80 Newton iterations per start; taken
+    past the memo, so none is stored on a state."""
     values = []
     for n in (16, 32, 64):
-        cfg = OptimizerConfig(grid_theta=n, grid_phi=2 * n, refine_iters=80)
-        values.append(classical_correlation(pair_post, 1, cfg).value)
-    assert values[0] <= values[1] <= values[2]
+        with optimizer_constants(GRID_THETA=n, GRID_PHI=2 * n, NEWTON_MAXITER=80):
+            values.append(_min_conditional_entropy(mat, measured)[0])
+    return values
 
 
-def test_min_entropy_monotone_on_random_states():
+def test_min_entropy_monotone_under_grid_refinement(monkeypatch, optimizer_constants, pair_post):
+    # doubling both grids keeps every old node, so the minimum cannot rise
+    calls = recording_minimize(monkeypatch)
+    values = grid_minima(pair_post.mat, 1, optimizer_constants)
+    assert values[0] >= values[1] >= values[2]
+    assert len(calls) == 3
+
+
+def test_min_entropy_monotone_on_random_states(monkeypatch, optimizer_constants):
+    calls = recording_minimize(monkeypatch)
     for seed in range(3):
-        rho = random_mixed_pair(300 + seed)
-        values = []
-        for n in (16, 32, 64):
-            cfg = OptimizerConfig(grid_theta=n, grid_phi=2 * n, refine_iters=80)
-            values.append(classical_correlation(rho, seed % 2, cfg).value)
-        assert values[0] <= values[1] + 1e-9
-        assert values[1] <= values[2] + 1e-9
+        values = grid_minima(random_mixed_pair(300 + seed).mat, seed % 2, optimizer_constants)
+        assert values[0] >= values[1] - 1e-9
+        assert values[1] >= values[2] - 1e-9
+    assert len(calls) == 9
 
 
 def test_kernel_matches_scalar_conditional_entropy(pair_pre, pair_post, bell_pair):
@@ -576,7 +572,7 @@ def test_tangent_derivatives_match_central_differences():
     assert checked == 6 * len(states)
 
 
-def test_newton_never_ends_above_its_first_start(monkeypatch):
+def test_newton_never_ends_above_its_first_start(monkeypatch, optimizer_constants):
     rng = np.random.default_rng(43)
     outcomes = set()
     for rho in adversarial_pairs(44, 3):
@@ -593,7 +589,8 @@ def test_newton_never_ends_above_its_first_start(monkeypatch):
     assert {(1, False), (200, True)} <= outcomes and (200, False) not in outcomes
     # through the optimizer: one Newton step per start cannot converge here
     calls = recording_minimize(monkeypatch)
-    rho = random_mixed_pair(20)
-    classical_correlation(rho, 1, OptimizerConfig(refine_iters=1))
-    classical_correlation(rho, 1)
+    mat = random_mixed_pair(20).mat
+    with optimizer_constants(NEWTON_MAXITER=1):
+        _min_conditional_entropy(mat, 1)
+    _min_conditional_entropy(mat, 1)
     assert [result.success for result in calls] == [False, True]

@@ -5,7 +5,6 @@ import pytest
 
 import qcorr.correlations
 from qcorr import (
-    OptimizerConfig,
     acceptance_checks,
     apply_filter,
     classical_correlation,
@@ -108,7 +107,7 @@ def test_report_residuals_match_direct_calls(scenario_reports):
     perms = {"ABC": (0, 1, 2), "BCA": (1, 2, 0), "CAB": (2, 0, 1)}
     for psi, report in ((ghz3(), pre), (apply_filter(ghz3(), filter_e(), 2), post)):
         for key, (a, b, c) in perms.items():
-            direct = koashi_winter_residual(psi, a, b, c, OptimizerConfig())
+            direct = koashi_winter_residual(psi, a, b, c)
             assert abs(report.kw_residuals[key] - direct) < 1e-12
 
 
@@ -160,25 +159,28 @@ def test_acceptance_checks_all_pass(scenario_reports):
         assert check.detail
 
 
-def test_acceptance_checks_fail_with_starved_optimizer(unrefined):
+def test_acceptance_checks_fail_with_starved_optimizer(unrefined, optimizer_constants):
     # a 2x1 grid with no refinement cannot locate the optimal direction, so
     # the directional checks must report failure
-    pre, post = run_scenario(OptimizerConfig(grid_theta=2, grid_phi=1, refine_iters=1))
+    with optimizer_constants(GRID_THETA=2, GRID_PHI=1, NEWTON_MAXITER=1):
+        pre, post = run_scenario()
     by_name = {c.name: c for c in acceptance_checks(pre, post)}
     assert not by_name["discord_asymmetry"].passed
 
 
-def test_one_newton_step_from_the_axes_recovers_a_starved_grid():
+def test_one_newton_step_from_the_axes_recovers_a_starved_grid(optimizer_constants):
     # the scenario's pairs are X states whose optimum is an axis, and the
     # state's own axes seed the refinement, so even a 2x1 grid with one
     # Newton step per start lands on target
-    pre, post = run_scenario(OptimizerConfig(grid_theta=2, grid_phi=1, refine_iters=1))
+    with optimizer_constants(GRID_THETA=2, GRID_PHI=1, NEWTON_MAXITER=1):
+        pre, post = run_scenario()
     by_name = {c.name: c for c in acceptance_checks(pre, post)}
     assert by_name["discord_asymmetry"].passed
 
 
-def test_build_report_stage_label_passthrough():
-    report = build_report(ghz3(), "pre", OptimizerConfig(8, 8, 20))
-    assert report.stage == "pre"
-    with pytest.raises(Exception):
-        build_report(ghz3(), "neither", OptimizerConfig(8, 8, 20))
+def test_build_report_stage_label_passthrough(optimizer_constants):
+    with optimizer_constants(GRID_THETA=8, GRID_PHI=8, NEWTON_MAXITER=20):
+        report = build_report(ghz3(), "pre")
+        assert report.stage == "pre"
+        with pytest.raises(Exception):
+            build_report(ghz3(), "neither")
