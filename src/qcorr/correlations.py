@@ -5,12 +5,13 @@ entropy bookkeeping identity on pure three-qubit states.
 J and D of a (state, measured qubit) share one conditional-entropy
 minimization, memoized on the DensityMatrix object per measured qubit, so a
 later J or D on the same object reuses it. It reads the state once into its
-Bloch form, and one elementwise kernel prices each measurement direction in
-a few flops: on numpy arrays for the fixed GRID_THETA x GRID_PHI coarse
-grid, and on floats as the objective of a Newton refinement on the sphere,
-with closed-form derivatives, from the best cell and the best of the state's
-own axes. Only projective pairs are searched: kw_audit's residuals bound what
-a general POVM could add on the rank-2 pairs of pure three-qubit states.
+Bloch form, and one plain-float kernel prices each measurement direction in
+a few flops, as the objective of a Newton minimization on the sphere with
+closed-form derivatives, from the pole (0, 0, 1) and from the best of the
+state's own axes. A start that stops on a saddle point, as an X state's pole
+can be, escapes along the Hessian's negative curvature. Only projective pairs
+are searched: kw_audit's residuals bound what a general POVM could add on the
+rank-2 pairs of pure three-qubit states.
 Entropies read the spectrum each DensityMatrix kept, and concurrence reads
 its kept eigenvectors through Wootters' tau matrix. discord has one
 decomposition, and D = I_q - J is a tested property.
@@ -40,6 +41,7 @@ from .measurement import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochAngles
 from .states import (
     DensityMatrix,
     PureState,
+    _subsystem,
     density_from_pure,
     partial_trace,
     sample_pure_state,
@@ -56,11 +58,6 @@ RESIDUAL_HIGH = 2e-3
 # kernel outcomes with weight at or below this contribute no entropy
 TRACE_FLOOR = 1e-12
 
-# the coarse grid: theta in [0, pi/2] (antipodes give the same pair) by phi in
-# [0, 2 pi); it finds the minima of the doubled grid, which holds all its
-# nodes, to 1e-9 on random and adversarial states, near-tie X states included
-GRID_THETA = 32
-GRID_PHI = 64
 # a Newton start stops after NEWTON_MAXITER iterations, once its predicted
 # decrease -g.d is below rounding, NEWTON_STOP * max(1, |f|), or once
 # LINE_HALVINGS halvings of a step, at most STEP_CAP long, all fail to lower f
@@ -68,6 +65,11 @@ NEWTON_MAXITER = 200
 NEWTON_STOP = 1e-15
 LINE_HALVINGS = 30
 STEP_CAP = 0.5
+# a start that would stop where the unshifted Hessian has an eigenvalue below
+# -ESCAPE_CURVATURE steps ESCAPE_STEP along +- its eigenvector instead, halved
+# like a Newton step until the lower side lowers f, and goes on from there
+ESCAPE_CURVATURE = 1e-9
+ESCAPE_STEP = 0.05
 # g' and g'' diverge as r = |v| / a -> 1, so r is capped at RADIUS_CAP; below
 # SPREAD_FLOOR, g'/|v| takes its limit -1/(a ln 2)
 RADIUS_CAP = 1.0 - 1e-15
@@ -121,39 +123,30 @@ def _bloch_form(rho4: np.ndarray, measured: int) -> tuple:
     return tuple(map(tuple, r.tolist()))
 
 
-# math stand-ins for the numpy calls the kernel makes, so the Newton
-# objective runs the same formula on plain floats
-_SCALAR = SimpleNamespace(sqrt=math.sqrt, log2=math.log2, minimum=min,
-                          where=lambda c, a, b: a if c else b)
-
-
-def _effect_entropy(form: tuple, n0, n1, n2, weight: float, xp=np):
+def _effect_entropy(form: tuple, n0: float, n1: float, n2: float, weight: float) -> float:
     """Probability times conditional entropy for the effect weight (1 + n.sigma).
 
     The unmeasured qubit is left with weight p = weight (Tr rho + m.n) and
     eigenvalues (p +- weight |u + T n|) / 2, where m and u are the measured
     and unmeasured Bloch vectors; outcomes with p <= TRACE_FLOOR count 0.
-    Runs elementwise on arrays (xp = numpy) or floats (xp = _SCALAR); with
-    no matmul, a cell's value does not depend on how many cells there are.
     """
     (r00, m0, m1, m2), (u0, t00, t01, t02), (u1, t10, t11, t12), (u2, t20, t21, t22) = form
     p = weight * (r00 + m0 * n0 + m1 * n1 + m2 * n2)
+    if not p > TRACE_FLOOR:
+        return 0.0
     v0 = u0 + t00 * n0 + t01 * n1 + t02 * n2
     v1 = u1 + t10 * n0 + t11 * n1 + t12 * n2
     v2 = u2 + t20 * n0 + t21 * n1 + t22 * n2
-    spread = weight * xp.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
-    live = p > TRACE_FLOOR
-    safe = xp.where(live, p, 1.0)
-    lam = xp.minimum((safe + spread) / (2.0 * safe), 1.0)
+    spread = weight * math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    lam = min((p + spread) / (2.0 * p), 1.0)
     q = 1.0 - lam  # q log2 q is taken as 0 at q = 0
-    h = -(lam * xp.log2(lam) + q * xp.log2(q + (q == 0.0)))
-    return xp.where(live, p * h, 0.0)
+    return p * -(lam * math.log2(lam) + (q * math.log2(q) if q > 0.0 else 0.0))
 
 
-def _pair_entropy(form: tuple, n0, n1, n2, xp=np):
+def _pair_entropy(form: tuple, n0: float, n1: float, n2: float) -> float:
     """Conditional entropy of the projective pair along the unit vector n."""
-    return (_effect_entropy(form, n0, n1, n2, 0.5, xp)
-            + _effect_entropy(form, -n0, -n1, -n2, 0.5, xp))
+    return (_effect_entropy(form, n0, n1, n2, 0.5)
+            + _effect_entropy(form, -n0, -n1, -n2, 0.5))
 
 
 def _unit(x) -> tuple:
@@ -205,7 +198,9 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int) -> SimpleNames
     derivatives(n, e1, e2) its tangent gradient and Hessian in the
     orthonormal basis e1, e2, as _tangent_derivatives gives them. A Hessian
     that is not positive definite is shifted until it is, and steps are
-    retracted by normalizing. nfev counts calls of both functions, nit Newton
+    retracted by normalizing. Where the shifted step predicts no decrease but
+    the Hessian curves down, as at a saddle point, the start escapes along
+    that curvature. nfev counts calls of both functions, nit Newton
     iterations, and success is whether every start stopped within maxiter."""
     starts = [(fun(x0), x0)] + sorted((fun(x), x) for x in alternatives)[:1]
     nfev, nit, success, best = 1 + len(alternatives), 0, True, starts[0]
@@ -215,18 +210,24 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int) -> SimpleNames
             e2 = (n[1] * e1[2] - n[2] * e1[1], n[2] * e1[0] - n[0] * e1[2],
                   n[0] * e1[1] - n[1] * e1[0])
             g1, g2, h11, h12, h22 = derivatives(n, e1, e2)
-            shift = max(0.0, math.hypot(0.5 * (h11 - h22), h12) - 0.5 * (h11 + h22)) * 2.0
-            h11, h22 = h11 + shift, h22 + shift
-            det = h11 * h22 - h12 * h12
-            d1, d2 = ((h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det) if det > 0.0 \
+            mid, rad = 0.5 * (h11 + h22), math.hypot(0.5 * (h11 - h22), h12)
+            shift = max(0.0, rad - mid) * 2.0
+            s11, s22 = h11 + shift, h22 + shift
+            det = s11 * s22 - h12 * h12
+            d1, d2 = ((h12 * g2 - s22 * g1) / det, (h12 * g1 - s11 * g2) / det) if det > 0.0 \
                 else (-g1, -g2)
             scale = min(1.0, STEP_CAP / (math.hypot(d1, d2) or 1.0))
             nfev, nit, d1, d2 = nfev + 1, nit + 1, scale * d1, scale * d2
+            signs = (1.0,)
             if -(g1 * d1 + g2 * d2) <= NEWTON_STOP * max(1.0, abs(f)):
-                break
+                if mid - rad >= -ESCAPE_CURVATURE:
+                    break
+                a = 0.5 * math.atan2(h12, 0.5 * (h11 - h22))  # the greater eigenvalue's axis
+                d1, d2, signs = -ESCAPE_STEP * math.sin(a), ESCAPE_STEP * math.cos(a), (1.0, -1.0)
             for _ in range(LINE_HALVINGS):
-                x = _unit([n[k] + d1 * e1[k] + d2 * e2[k] for k in range(3)])
-                fx, nfev = fun(x), nfev + 1
+                fx, x = min((fun(y), y) for y in [
+                    _unit([n[k] + s * (d1 * e1[k] + d2 * e2[k]) for k in range(3)]) for s in signs])
+                nfev += len(signs)
                 if fx < f:
                     break
                 d1, d2 = 0.5 * d1, 0.5 * d2
@@ -240,29 +241,18 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int) -> SimpleNames
 
 
 def _min_conditional_entropy(rho4: np.ndarray, measured: int) -> tuple[float, BlochAngles, int]:
-    """Coarse grid, then Newton from its best cell and from the best of the
-    state's own axes: the eigenvectors of T^T T, m and T^T u. The cell, the
-    first lowest in row-major order, stands unless Newton ends strictly lower."""
+    """Newton from the pole (0, 0, 1) and from the best of the state's own
+    axes: the eigenvectors of T^T T, m and T^T u."""
     form = _bloch_form(rho4, measured)
-    thetas = (pi / 2.0) * np.arange(GRID_THETA) / GRID_THETA
-    phis = (2.0 * pi) * np.arange(GRID_PHI) / GRID_PHI
-    st = np.sin(thetas[:, None])
-    n = st * np.cos(phis[None, :]), st * np.sin(phis[None, :]), np.cos(thetas[:, None])
-    values = _pair_entropy(form, *n)
-    i, j = divmod(int(np.argmin(values)), GRID_PHI)
     r = np.array(form)
     t = r[1:, 1:]
     axes = [*np.linalg.eigh(t.T @ t)[1].T.tolist(), r[0, 1:].tolist(), (t.T @ r[1:, 0]).tolist()]
-    res = minimize(lambda x: _pair_entropy(form, *x, _SCALAR),
-                   (float(n[0][i, j]), float(n[1][i, j]), float(n[2][i, 0])),
+    res = minimize(lambda x: _pair_entropy(form, *x), (0.0, 0.0, 1.0),
                    alternatives=[_unit(x) for x in axes if math.hypot(*x) >= AXIS_FLOOR],
                    derivatives=lambda *a: _tangent_derivatives(form, *a), maxiter=NEWTON_MAXITER)
-    evals = values.size + res.nfev
-    if not res.fun < values[i, j]:
-        return float(values[i, j]), BlochAngles(float(thetas[i]), float(phis[j])), evals
     x, y, z = res.x if res.x[2] >= 0.0 else (-res.x[0], -res.x[1], -res.x[2])
     phi = (math.atan2(y, x) + 2.0 * pi) % (2.0 * pi)  # never 2 pi: fmod is exact
-    return res.fun, BlochAngles(math.acos(min(z, 1.0)), phi), evals
+    return res.fun, BlochAngles(math.acos(min(z, 1.0)), phi), res.nfev
 
 
 def _require_two_qubits(rho: DensityMatrix):
@@ -271,7 +261,7 @@ def _require_two_qubits(rho: DensityMatrix):
 
 
 def _direction_name(measured: int) -> str:
-    if measured not in (0, 1):
+    if _subsystem(measured) not in (0, 1):
         raise BadSubsystemError(f"measured index must be 0 or 1, got {measured}")
     return "leftward" if measured == 1 else "rightward"
 
@@ -316,8 +306,7 @@ def discord_oracle_grid(rho: DensityMatrix, measured: int, resolution: int) -> f
     and 2x2 spectra come from the Bloch vector. Upper-bounds discord().
     """
     _require_two_qubits(rho)
-    if measured not in (0, 1):
-        raise BadSubsystemError(f"measured index must be 0 or 1, got {measured}")
+    _direction_name(measured)
     if resolution < 1:
         raise OutOfRangeError(f"resolution must be >= 1, got {resolution}")
     th = np.linspace(0.0, pi / 2.0, resolution)

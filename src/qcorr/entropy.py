@@ -5,7 +5,7 @@ import numpy as np
 
 from .exceptions import BadSubsystemError, NotPSDError, OutOfRangeError
 from .linalg import EIG_CLAMP
-from .states import DensityMatrix, partial_trace
+from .states import DensityMatrix, _subsystem, partial_trace
 
 # binary_entropy tolerates this much float drift past the [0, 1] endpoints
 PROB_SLOP = 1e-12
@@ -40,7 +40,7 @@ def binary_entropy(x: float) -> float:
 def mutual_information(rho: DensityMatrix, cut) -> float:
     """I_q across the cut: S(rho_cut) + S(rho_rest) - S(rho)."""
     n = rho.subsystem_count()
-    side = sorted(set(int(i) for i in cut))
+    side = sorted(set(_subsystem(i) for i in cut))
     if not side or len(side) == n:
         raise BadSubsystemError("cut must be a proper nonempty subsystem subset")
     if any(i < 0 or i >= n for i in side):

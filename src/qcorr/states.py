@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import index
 
 import numpy as np
 
@@ -150,10 +151,18 @@ def _partial_trace_raw(mat: np.ndarray, dims: tuple[int, ...], keep: list[int]) 
     return out.reshape(d, d)
 
 
+def _subsystem(i) -> int:
+    """A subsystem index as an int: numpy integers pass, bools and
+    non-integers (which int() would truncate) raise BadSubsystemError."""
+    if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
+        raise BadSubsystemError(f"subsystem index must be an integer, got {i!r}")
+    return index(i)
+
+
 def partial_trace(rho: DensityMatrix, discard) -> DensityMatrix:
     """Trace out the subsystems in `discard`, preserving factor order."""
     n = rho.subsystem_count()
-    d = sorted(set(int(i) for i in discard))
+    d = sorted(set(_subsystem(i) for i in discard))
     if not d:
         raise BadSubsystemError("discard set is empty")
     if any(i < 0 or i >= n for i in d):

@@ -58,10 +58,50 @@ def scenario_reports():
     return run_scenario()
 
 
+_PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+          np.diag([1.0, -1.0]))
+
+
+def _grid_minimum(mat: np.ndarray, measured: int, n: int) -> tuple:
+    """(value, node): the lowest conditional entropy of a two-qubit state
+    over projective pairs on the measured qubit along n x 2n hemisphere
+    nodes, theta in [0, pi/2) by phi in [0, 2 pi).
+
+    A numpy copy of the Bloch-form formula, written apart from the package's
+    kernel: with r_ij = Tr[rho sigma_i x sigma_j], i on the unmeasured qubit,
+    the outcome s = +-1 along n has weight p = (1 + s m.n) / 2, m_j = r_0j,
+    and leaves the unmeasured qubit with Bloch vector (u + s T n) / (2 p),
+    u_i = r_i0 and T_ij = r_ij for i, j >= 1."""
+    r = np.array([[np.trace(mat @ np.kron(a, b)).real for b in _PAULI] for a in _PAULI])
+    r = r.T if measured == 0 else r
+    theta = (math.pi / 2) * np.arange(n)[:, None] / n
+    phi = (2 * math.pi) * np.arange(2 * n)[None, :] / (2 * n)
+    nodes = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                      np.cos(theta) + 0.0 * phi])
+    total = np.zeros(nodes.shape[1:])
+    for s in (1.0, -1.0):
+        p = 0.5 * (r[0, 0] + s * np.tensordot(r[0, 1:], nodes, 1))
+        v = r[1:, 0, None, None] + s * np.tensordot(r[1:, 1:], nodes, 1)
+        live = p > 1e-12
+        lam = np.clip(0.5 + 0.25 * np.sqrt((v * v).sum(axis=0)) / np.where(live, p, 1.0),
+                      0.5, 1.0)
+        q = 1.0 - lam
+        h = -(lam * np.log2(lam) + np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0))
+        total += np.where(live, p * h, 0.0)
+    k = np.unravel_index(int(np.argmin(total)), total.shape)
+    return float(total[k]), tuple(float(c) for c in nodes[(slice(None),) + k])
+
+
+@pytest.fixture(scope="session")
+def grid_minimum():
+    """The test-side grid: a function (mat, measured, n) -> (value, node)."""
+    return _grid_minimum
+
+
 @pytest.fixture
 def unrefined(monkeypatch):
-    """Every minimization returns its first start, the best grid cell,
-    unrefined, so a coarse enough grid misses the optimal direction."""
+    """Every minimization returns its first start, the pole (0, 0, 1),
+    unrefined, so it misses every optimal direction off the pole."""
     def first_start(fun, x0, **kwargs):
         return SimpleNamespace(x=x0, fun=fun(x0), nfev=1, nit=0, success=False)
 
@@ -70,8 +110,8 @@ def unrefined(monkeypatch):
 
 @pytest.fixture
 def optimizer_constants():
-    """A context manager that sets qcorr.correlations' GRID_THETA, GRID_PHI
-    or NEWTON_MAXITER, given as keywords, and restores them on exit.
+    """A context manager that sets qcorr.correlations' NEWTON_MAXITER or
+    other optimizer constants, given as keywords, and restores them on exit.
 
     Minima are memoized per (state object, measured qubit), so a minimum
     taken under patched constants must land on a state made for it, or come

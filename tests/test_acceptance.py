@@ -163,7 +163,7 @@ def test_optimizer_agrees_with_exhaustive_grid(criterion, pair_pre, pair_post):
                f"max |grid - optimizer| = {worst:.2e} over 54 states (tol 1e-4)")
 
 
-def test_property_suites(criterion, pair_pre, pair_post, monkeypatch, optimizer_constants):
+def test_property_suites(criterion, pair_pre, pair_post, monkeypatch, grid_minimum):
     # bipartition entropy equality on random pure tripartite states
     bip_dev = 0.0
     for seed in range(5):
@@ -187,8 +187,8 @@ def test_property_suites(criterion, pair_pre, pair_post, monkeypatch, optimizer_
         total = sum(o.probability for o in measure_subsystem(rho, povm, 1))
         prob_dev = max(prob_dev, abs(total - 1.0))
 
-    # J nondecreasing as the search grid is refined (nodes are nested); each
-    # grid measures a state of its own, so none reads another's memoized minimum
+    # J at least what the best node of a test-side 16 x 32 grid gives: the
+    # optimizer's minimum conditional entropy lies below every node
     minimizations = []
     real_minimize = qcorr.correlations.minimize
 
@@ -197,15 +197,13 @@ def test_property_suites(criterion, pair_pre, pair_post, monkeypatch, optimizer_
         return real_minimize(*args, **kwargs)
 
     monkeypatch.setattr(qcorr.correlations, "minimize", counting)
-    monotone = True
-    for rho, slack in ((pair_post, 0.0), (_random_pair(3200), 1e-9)):
-        values = []
-        for n in (16, 32, 64):
-            with optimizer_constants(GRID_THETA=n, GRID_PHI=2 * n, NEWTON_MAXITER=80):
-                values.append(classical_correlation(DensityMatrix(rho.mat, (2, 2)), 1).value)
-        monotone = monotone and values[0] <= values[1] + slack
-        monotone = monotone and values[1] <= values[2] + slack
-    assert len(minimizations) == 6
+    below_grid = True
+    for rho in (pair_post, _random_pair(3200)):
+        fresh = DensityMatrix(rho.mat, (2, 2))  # its own memo, so the count below holds
+        s_u = von_neumann_entropy(partial_trace(fresh, [1]))
+        j = classical_correlation(fresh, 1).value
+        below_grid = below_grid and s_u - j <= grid_minimum(rho.mat, 1, 16)[0] + 1e-12
+    assert len(minimizations) == 2
 
     # discord equals total minus classical correlations on every call
     form_dev = 0.0
@@ -217,9 +215,9 @@ def test_property_suites(criterion, pair_pre, pair_post, monkeypatch, optimizer_
         form_dev = max(form_dev, abs(d - (mutual_information(rho, [0]) - j)))
 
     ok = (bip_dev <= 1e-9 and povm_dev <= 1e-10 and prob_dev <= 1e-10
-          and monotone and form_dev <= 1e-9)
+          and below_grid and form_dev <= 1e-9)
     criterion("property_suites", ok,
                f"bipartition entropy gap = {bip_dev:.2e} (tol 1e-9), "
                f"POVM completeness = {povm_dev:.2e}, probability sum = {prob_dev:.2e} "
-               f"(tol 1e-10), J grid-monotone = {monotone}, "
+               f"(tol 1e-10), J above 16x32 grid = {below_grid}, "
                f"|D - (I_q - J)| = {form_dev:.2e} (tol 1e-9)")

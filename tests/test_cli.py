@@ -54,7 +54,7 @@ def test_reproduce_csv_output(capsys):
 
 
 def test_reproduce_starved_optimizer_fails(capsys, unrefined, optimizer_constants):
-    with optimizer_constants(GRID_THETA=2, GRID_PHI=1, NEWTON_MAXITER=1):
+    with optimizer_constants(NEWTON_MAXITER=1):
         code, out, err = run_cli(["reproduce"], capsys)
     assert code == 1
     assert "FAIL discord_asymmetry" in out

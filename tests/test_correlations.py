@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import sys
@@ -35,7 +36,6 @@ from qcorr import (
 from qcorr.correlations import (
     RESIDUAL_HIGH,
     RESIDUAL_LOW,
-    _SCALAR,
     _bloch_form,
     _effect_entropy,
     _min_conditional_entropy,
@@ -90,12 +90,13 @@ def random_qubit(rng) -> np.ndarray:
     return 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1 - r[2]]])
 
 
-def near_tie_x_state(rng) -> tuple[np.ndarray, int]:
+def near_tie_x_state(rng, rotated: bool = True) -> tuple[np.ndarray, int]:
     """A locally rotated X state and a measured side on which, before the
     rotation and with real coherences, measuring sigma_z and the better of
     sigma_x, sigma_y tie to NEAR_TIE. The optimal direction of such states
     can sit at an intermediate angle (Lu, Ma, Xi & Wang, PRA 83, 012327,
-    2011; Huang, PRA 88, 014302, 2013)."""
+    2011; Huang, PRA 88, 014302, 2013). Unrotated, the state is returned as
+    drawn, with the same draws, and its pole can be a saddle point."""
     while True:
         alpha = rng.uniform(0.1, 2.0)
         a, b, c, d = rng.dirichlet(alpha * np.ones(4))
@@ -105,8 +106,10 @@ def near_tie_x_state(rng) -> tuple[np.ndarray, int]:
         side = int(rng.integers(2))
         x = np.array([[a, 0, 0, w], [0, b, z, 0], [0, np.conj(z), c, 0], [np.conj(w), 0, 0, d]])
         form = _bloch_form(abs(x).astype(complex), side)
-        fz, fx, fy = (_pair_entropy(form, *n, _SCALAR) for n in np.eye(3)[[2, 0, 1]])
+        fz, fx, fy = (_pair_entropy(form, *n) for n in np.eye(3)[[2, 0, 1]])
         if abs(fz - min(fx, fy)) <= NEAR_TIE:
+            if not rotated:
+                return x, side
             u = kron(haar_unitary(*g[0]), haar_unitary(*g[1]))
             return u @ x @ u.conj().T, side
 
@@ -147,12 +150,33 @@ def adversarial_pairs(seed: int, per_kind: int) -> list[DensityMatrix]:
     return [density(kind()) for kind in kinds for _ in range(per_kind)]
 
 
-def near_tie_pairs() -> list[tuple[DensityMatrix, int]]:
-    """The fixed near-tie family: the first NEAR_TIE_COUNT states that
-    near_tie_x_state keeps from default_rng(99), with their measured sides."""
-    rng = np.random.default_rng(99)
-    return [(density(m), side) for m, side in
-            (near_tie_x_state(rng) for _ in range(NEAR_TIE_COUNT))]
+@functools.cache
+def near_tie_family(seed: int, rotated: bool) -> tuple:
+    rng = np.random.default_rng(seed)
+    return tuple(near_tie_x_state(rng, rotated) for _ in range(NEAR_TIE_COUNT))
+
+
+def near_tie_pairs(seed: int = 99, rotated: bool = True) -> list[tuple[DensityMatrix, int]]:
+    """A fixed near-tie family: the first NEAR_TIE_COUNT states that
+    near_tie_x_state keeps from default_rng(seed), with their measured sides,
+    as fresh states. The rotated family draws from seed 99, the unrotated
+    one, whose poles can be saddle points, from seed 5."""
+    return [(density(m), side) for m, side in near_tie_family(seed, rotated)]
+
+
+def unrotated_near_tie_pairs() -> list[tuple[DensityMatrix, int]]:
+    return near_tie_pairs(5, rotated=False)
+
+
+def reference_minimum(mat: np.ndarray, measured: int, grid_minimum) -> float:
+    """The test-side 64 x 128 grid's lowest node, refined by Newton from it
+    alone: a minimum that owes nothing to the package's own starts."""
+    form = _bloch_form(mat, measured)
+    value, node = grid_minimum(mat, measured, 64)
+    res = minimize(lambda x: _pair_entropy(form, *x), node, alternatives=[],
+                   derivatives=lambda *a: _tangent_derivatives(form, *a),
+                   maxiter=qcorr.correlations.NEWTON_MAXITER)
+    return min(value, res.fun)
 
 
 def recording_minimize(monkeypatch) -> list:
@@ -243,6 +267,12 @@ def test_directional_guards(pair_pre):
         classical_correlation(pair_pre, 2)
     with pytest.raises(BadSubsystemError):
         discord(pair_pre, -1)
+    # int() would truncate these to a valid side
+    with pytest.raises(BadSubsystemError):
+        classical_correlation(pair_pre, 1.0)
+    with pytest.raises(BadSubsystemError):
+        discord(pair_pre, True)
+    assert discord(pair_pre, np.int64(1)) == discord(pair_pre, 1)
 
 
 def test_discord_classical_pair_vanishes(pair_pre):
@@ -297,6 +327,8 @@ def test_discord_oracle_rejects_bad_input(pair_pre):
         discord_oracle_grid(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), 0, 50)
     with pytest.raises(BadSubsystemError):
         discord_oracle_grid(pair_pre, 5, 50)
+    with pytest.raises(BadSubsystemError):
+        discord_oracle_grid(pair_pre, True, 10)
 
 
 def test_concurrence_extremes(bell_pair):
@@ -335,6 +367,21 @@ def test_concurrence_local_unitary_invariance(entangled_pair):
         # the pair is rank-2; the tau route takes no square root of its zero
         # eigenvalues, so only rounding separates the two values
         assert abs(concurrence(rotated) - base) < 1e-12
+
+
+def test_j_and_d_are_local_unitary_invariant():
+    # Newton starts from the pole (0, 0, 1), which depends on the basis; the
+    # minimum it reaches may not
+    rng = np.random.default_rng(47)
+    worst = 0.0
+    for rho in adversarial_pairs(812, 10) + [rho for rho, _ in near_tie_pairs()]:
+        u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        turned = DensityMatrix(u @ rho.mat @ u.conj().T, (2, 2))
+        for measured in (0, 1):
+            for measure in (classical_correlation, discord):
+                worst = max(worst, abs(measure(turned, measured).value
+                                       - measure(rho, measured).value))
+    assert worst <= 1e-9
 
 
 def test_concurrence_of_pure_pairs_is_twice_the_determinant():
@@ -435,7 +482,7 @@ def test_kw_audit_deterministic_and_bounded():
 
 
 @pytest.mark.parametrize("seed, cfg", [
-    (0, None), (17, None), (29, dict(GRID_THETA=24, GRID_PHI=48, NEWTON_MAXITER=120))])
+    (0, None), (17, None), (29, dict(NEWTON_MAXITER=120))])
 def test_kw_audit_equals_residual_over_the_same_states(seed, cfg, optimizer_constants):
     # the audit shares each state's marginals across labelings; every
     # residual must still be the one koashi_winter_residual computes alone,
@@ -457,50 +504,62 @@ def test_kw_audit_decomposes_each_state_once(monkeypatch):
     assert counts == {"density_from_pure": 1, "partial_trace": 9, "minimize": 3}
 
 
-def test_default_grid_agrees_with_finer_grid_on_adversarial_states(monkeypatch,
-                                                                    optimizer_constants):
+def test_optimizer_agrees_with_refined_fine_grid_on_adversarial_states(monkeypatch,
+                                                                         grid_minimum):
+    # the unrotated near-tie family holds X states whose pole is a saddle point
     calls = recording_minimize(monkeypatch)
-    cases = [(rho, m) for rho in adversarial_pairs(808, 20) for m in (0, 1)] + near_tie_pairs()
-    default = [classical_correlation(rho, measured).value for rho, measured in cases]
-    with optimizer_constants(GRID_THETA=64, GRID_PHI=128):
-        # fresh states, so the memo cannot hand back the default minima
-        fine = [classical_correlation(DensityMatrix(rho.mat, (2, 2)), measured).value
-                for rho, measured in cases]
-    worst = max(abs(a - b) for a, b in zip(default, fine))
+    cases = ([(rho, m) for rho in adversarial_pairs(808, 20) for m in (0, 1)]
+             + near_tie_pairs() + unrotated_near_tie_pairs())
+    worst = max(_min_conditional_entropy(rho.mat, measured)[0]
+                - reference_minimum(rho.mat, measured, grid_minimum) for rho, measured in cases)
     assert worst <= 1e-9
-    assert len(calls) == 2 * len(cases)
+    assert len(calls) == len(cases)
     assert [result for result in calls if not result.success] == []
 
 
-def grid_minima(mat: np.ndarray, measured: int, optimizer_constants) -> list[float]:
-    """The minimum conditional entropy on the 16 x 32, 32 x 64 and 64 x 128
-    grids, each refined with at most 80 Newton iterations per start; taken
-    past the memo, so none is stored on a state."""
-    values = []
-    for n in (16, 32, 64):
-        with optimizer_constants(GRID_THETA=n, GRID_PHI=2 * n, NEWTON_MAXITER=80):
-            values.append(_min_conditional_entropy(mat, measured)[0])
-    return values
+def test_newton_escapes_a_saddle_at_the_pole(grid_minimum):
+    # the parent of the escape stopped on any such pole, where the gradient
+    # vanishes by symmetry and the shifted Newton step is zero
+    pole, e1, e2 = (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)
+    escaped = 0
+    for rho, measured in unrotated_near_tie_pairs()[:300]:
+        form = _bloch_form(rho.mat, measured)
+        g1, g2, h11, h12, h22 = _tangent_derivatives(form, pole, e1, e2)
+        assert max(abs(g1), abs(g2)) <= 1e-12
+        below = h11 * h22 - h12 * h12 < 0.0 or h11 + h22 < 0.0
+        ref = reference_minimum(rho.mat, measured, grid_minimum)
+        if not (below and ref < _pair_entropy(form, *pole) - 1e-9):
+            continue
+        res = minimize(lambda x: _pair_entropy(form, *x), pole, alternatives=[],
+                       derivatives=lambda *a: _tangent_derivatives(form, *a),
+                       maxiter=qcorr.correlations.NEWTON_MAXITER)
+        assert res.fun <= ref + 1e-12 and res.success
+        escaped += 1
+    assert escaped >= 5
 
 
-def test_min_entropy_monotone_under_grid_refinement(monkeypatch, optimizer_constants, pair_post):
-    # doubling both grids keeps every old node, so the minimum cannot rise
+def test_min_entropy_below_every_coarse_node_on_filtered_pair(monkeypatch, grid_minimum,
+                                                               pair_post):
     calls = recording_minimize(monkeypatch)
-    values = grid_minima(pair_post.mat, 1, optimizer_constants)
-    assert values[0] >= values[1] >= values[2]
-    assert len(calls) == 3
+    best = _min_conditional_entropy(pair_post.mat, 1)[0]
+    assert best <= grid_minimum(pair_post.mat, 1, 16)[0] + 1e-12
+    assert len(calls) == 1
 
 
-def test_min_entropy_monotone_on_random_states(monkeypatch, optimizer_constants):
+def test_min_entropy_below_every_coarse_node_on_random_states(monkeypatch, grid_minimum):
+    # the minimum may not rise above any node of the test-side 16 x 32 grid
     calls = recording_minimize(monkeypatch)
-    for seed in range(3):
-        values = grid_minima(random_mixed_pair(300 + seed).mat, seed % 2, optimizer_constants)
-        assert values[0] >= values[1] - 1e-9
-        assert values[1] >= values[2] - 1e-9
-    assert len(calls) == 9
+    mats = [random_mixed_pair(300 + seed).mat for seed in range(3)]
+    mats += [rho.mat for rho in adversarial_pairs(45, 2)]
+    for mat in mats:
+        for measured in (0, 1):
+            best = _min_conditional_entropy(mat, measured)[0]
+            assert best <= grid_minimum(mat, measured, 16)[0] + 1e-12
+    assert len(calls) == 2 * len(mats)
 
 
-def test_kernel_matches_scalar_conditional_entropy(pair_pre, pair_post, bell_pair):
+def test_kernel_matches_scalar_conditional_entropy(pair_pre, pair_post, bell_pair,
+                                                   grid_minimum):
     targets = (pair_pre, pair_post, bell_pair, product_pair(), near_floor_pair(),
                random_mixed_pair(400))
     for target in targets:
@@ -508,12 +567,13 @@ def test_kernel_matches_scalar_conditional_entropy(pair_pre, pair_post, bell_pai
             form = _bloch_form(target.mat, measured)
             for theta, phi in [(0.0, 0.0), (0.7, 1.9), (1.4, 5.0), (math.pi / 2, math.pi)]:
                 n = BlochAngles(theta, phi).direction()
-                cell = _pair_entropy(form, *(np.array([x]) for x in n))[0]
-                on_floats = _pair_entropy(form, *n.tolist(), _SCALAR)
+                on_floats = _pair_entropy(form, *n.tolist())
                 scalar = conditional_entropy(
                     target, projective_pair(BlochAngles(theta, phi)), measured)
-                assert abs(cell - scalar) < 1e-12
                 assert abs(on_floats - scalar) < 1e-12
+            # the test-side grid's 1 x 2 nodes are both the pole
+            pole = conditional_entropy(target, projective_pair(BlochAngles(0.0, 0.0)), measured)
+            assert abs(grid_minimum(target.mat, measured, 1)[0] - pole) < 1e-12
     # one trine: three coplanar effects (1 + v_k.sigma)/3 at 120 degrees in a tilted plane
     e1 = np.array([math.cos(0.4), 0.0, -math.sin(0.4)])
     e2 = np.array([0.0, 1.0, 0.0])
@@ -557,7 +617,7 @@ def test_tangent_derivatives_match_central_differences():
 
                 def f(t1, t2):
                     x = n + t1 * e1 + t2 * e2
-                    return _pair_entropy(form, *(x / np.linalg.norm(x)), _SCALAR)
+                    return _pair_entropy(form, *(x / np.linalg.norm(x)))
 
                 g1, g2, h11, h12, h22 = _tangent_derivatives(form, *(tuple(v) for v in (n, e1, e2)))
                 fd_g = ((f(h, 0) - f(-h, 0)) / (2 * h), (f(0, h) - f(0, -h)) / (2 * h))
@@ -580,11 +640,11 @@ def test_newton_never_ends_above_its_first_start(monkeypatch, optimizer_constant
             form = _bloch_form(rho.mat, measured)
             for maxiter in (1, 200):
                 x0 = tuple(tangent_frame(rng)[0].tolist())
-                res = minimize(lambda x: _pair_entropy(form, *x, _SCALAR), x0,
+                res = minimize(lambda x: _pair_entropy(form, *x), x0,
                                alternatives=[tuple(v) for v in np.eye(3)], maxiter=maxiter,
                                derivatives=lambda *a: _tangent_derivatives(form, *a))
-                assert res.fun <= _pair_entropy(form, *x0, _SCALAR)
-                assert res.fun == _pair_entropy(form, *res.x, _SCALAR)
+                assert res.fun <= _pair_entropy(form, *x0)
+                assert res.fun == _pair_entropy(form, *res.x)
                 outcomes.add((maxiter, res.success))
     assert {(1, False), (200, True)} <= outcomes and (200, False) not in outcomes
     # through the optimizer: one Newton step per start cannot converge here

@@ -117,3 +117,8 @@ def test_mutual_information_rejects_bad_cut(pair_pre):
         mutual_information(pair_pre, [0, 1])
     with pytest.raises(BadSubsystemError):
         mutual_information(pair_pre, [3])
+    with pytest.raises(BadSubsystemError):
+        mutual_information(pair_pre, [0.9])  # not truncated to the cut [0]
+    with pytest.raises(BadSubsystemError):
+        mutual_information(pair_pre, [False])
+    assert mutual_information(pair_pre, [np.int32(0)]) == mutual_information(pair_pre, [0])

@@ -160,9 +160,9 @@ def test_acceptance_checks_all_pass(scenario_reports):
 
 
 def test_acceptance_checks_fail_with_starved_optimizer(unrefined, optimizer_constants):
-    # a 2x1 grid with no refinement cannot locate the optimal direction, so
-    # the directional checks must report failure
-    with optimizer_constants(GRID_THETA=2, GRID_PHI=1, NEWTON_MAXITER=1):
+    # the pole with no refinement is not the optimal direction, so the
+    # directional checks must report failure
+    with optimizer_constants(NEWTON_MAXITER=1):
         pre, post = run_scenario()
     by_name = {c.name: c for c in acceptance_checks(pre, post)}
     assert not by_name["discord_asymmetry"].passed
@@ -170,16 +170,16 @@ def test_acceptance_checks_fail_with_starved_optimizer(unrefined, optimizer_cons
 
 def test_one_newton_step_from_the_axes_recovers_a_starved_grid(optimizer_constants):
     # the scenario's pairs are X states whose optimum is an axis, and the
-    # state's own axes seed the refinement, so even a 2x1 grid with one
+    # state's own axes seed the refinement beside the pole, so even one
     # Newton step per start lands on target
-    with optimizer_constants(GRID_THETA=2, GRID_PHI=1, NEWTON_MAXITER=1):
+    with optimizer_constants(NEWTON_MAXITER=1):
         pre, post = run_scenario()
     by_name = {c.name: c for c in acceptance_checks(pre, post)}
     assert by_name["discord_asymmetry"].passed
 
 
 def test_build_report_stage_label_passthrough(optimizer_constants):
-    with optimizer_constants(GRID_THETA=8, GRID_PHI=8, NEWTON_MAXITER=20):
+    with optimizer_constants(NEWTON_MAXITER=20):
         report = build_report(ghz3(), "pre")
         assert report.stage == "pre"
         with pytest.raises(Exception):

@@ -122,6 +122,11 @@ def test_partial_trace_rejects_bad_sets():
         partial_trace(rho, [0, 1])
     with pytest.raises(BadSubsystemError):
         partial_trace(rho, [2])
+    # int() would truncate these to subsystem 0
+    for index in (0.7, True, np.float64(0.0)):
+        with pytest.raises(BadSubsystemError):
+            partial_trace(rho, [index])
+    assert partial_trace(rho, [np.int64(0)]) == partial_trace(rho, [0])
 
 
 def test_purity_cases(pair_pre):
