@@ -374,7 +374,7 @@ def koashi_winter_residual(psi: PureState, a: int, b: int, c: int) -> float:
     Exactly zero for pure three-qubit states when J is maximized over all
     POVMs. A projective-only J can only fall short of that, which can only
     raise the residual; yet the residuals measured are rounding of either
-    sign, [-2.39e-15, 9.27e-15] over kw_audit(100, 7).
+    sign, [-1.89e-15, 8.38e-15] over kw_audit(100, 7).
     """
     if psi.dims != (2, 2, 2):
         raise DimMismatchError(f"three-qubit pure state required, got dims {psi.dims}")

@@ -184,7 +184,7 @@ def embed_local(op, target: int, dims) -> np.ndarray:
     """Identity on every factor except `target`, where `op` acts."""
     dims = tuple(int(d) for d in dims)
     m = as_square(op, "local operator")
-    if not 0 <= target < len(dims):
+    if not 0 <= _subsystem(target) < len(dims):
         raise BadSubsystemError(f"target {target} out of range for dims {dims}")
     if m.shape[0] != dims[target]:
         raise DimMismatchError(

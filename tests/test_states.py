@@ -146,6 +146,10 @@ def test_embed_local():
         embed_local(np.eye(3), 0, (2, 2))
     with pytest.raises(BadSubsystemError):
         embed_local(x, 5, (2, 2))
+    # True would index subsystem 1, and 0.5 would escape as a TypeError
+    for target in (True, 0.5):
+        with pytest.raises(BadSubsystemError):
+            embed_local(x, target, (2, 2))
 
 
 def test_random_pure_state_determinism():
