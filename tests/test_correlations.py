@@ -518,8 +518,8 @@ def test_optimizer_agrees_with_refined_fine_grid_on_adversarial_states(monkeypat
 
 
 def test_newton_escapes_a_saddle_at_the_pole(grid_minimum):
-    # the parent of the escape stopped on any such pole, where the gradient
-    # vanishes by symmetry and the shifted Newton step is zero
+    # without the escape Newton stops on any such pole: the gradient vanishes
+    # by symmetry, so the shifted Newton step is zero
     pole, e1, e2 = (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)
     escaped = 0
     for rho, measured in unrotated_near_tie_pairs()[:300]:
