@@ -16,6 +16,8 @@ import argparse
 import sys
 
 from .correlations import (
+    RESIDUAL_HIGH,
+    RESIDUAL_LOW,
     classical_correlation,
     concurrence,
     discord,
@@ -24,7 +26,7 @@ from .correlations import (
 )
 from .entropy import mutual_information, von_neumann_entropy
 from .exceptions import QcorrError
-from .report import fmt12, report_table, reproduce_csv, reproduce_json
+from .report import _fmt_bound, fmt12, report_table, reproduce_csv, reproduce_json
 from .scenario import acceptance_checks, run_scenario
 from .state_io import load_state
 from .states import DensityMatrix, PureState, density_from_pure
@@ -139,7 +141,7 @@ def cmd_kw_audit(args) -> int:
     print(_check_line("identity_audit", summary.within_bounds,
                       f"{3 * summary.count} residuals in "
                       f"[{summary.min_residual:.2e}, {summary.max_residual:.2e}], "
-                      "bounds [-1e-6, 2e-3]"),
+                      f"bounds [{_fmt_bound(RESIDUAL_LOW)}, {_fmt_bound(RESIDUAL_HIGH)}]"),
           file=_status_stream(args))
     return 0 if summary.within_bounds else 1
 

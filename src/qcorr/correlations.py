@@ -37,11 +37,11 @@ from .exceptions import (
     OutOfRangeError,
 )
 from .linalg import kron
-from .measurement import SIGMA_X, SIGMA_Y, SIGMA_Z, BlochAngles
+from .measurement import PROB_FLOOR, SIGMA_X, SIGMA_Y, SIGMA_Z, BlochAngles
 from .states import (
     DensityMatrix,
     PureState,
-    _subsystem,
+    _integer,
     density_from_pure,
     partial_trace,
     sample_pure_state,
@@ -54,9 +54,6 @@ _YY = kron(SIGMA_Y, SIGMA_Y)
 # identity-audit residuals must land in this window
 RESIDUAL_LOW = -1e-6
 RESIDUAL_HIGH = 2e-3
-
-# kernel outcomes with weight at or below this contribute no entropy
-TRACE_FLOOR = 1e-12
 
 # a Newton start stops after NEWTON_MAXITER iterations, once its predicted
 # decrease -g.d is below rounding, NEWTON_STOP * max(1, |f|), or once
@@ -78,7 +75,7 @@ SPREAD_FLOOR = 1e-12
 AXIS_FLOOR = 1e-9
 _LN2 = math.log(2.0)
 
-# float noise may push a directional measure this far below zero
+# float noise may push a directional measure, or any reported measure, this far below zero
 MEASURE_FLOOR = -1e-9
 
 _CYCLIC_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -128,11 +125,11 @@ def _effect_entropy(form: tuple, n0: float, n1: float, n2: float, weight: float)
 
     The unmeasured qubit is left with weight p = weight (Tr rho + m.n) and
     eigenvalues (p +- weight |u + T n|) / 2, where m and u are the measured
-    and unmeasured Bloch vectors; outcomes with p <= TRACE_FLOOR count 0.
+    and unmeasured Bloch vectors; outcomes with p <= PROB_FLOOR count 0.
     """
     (r00, m0, m1, m2), (u0, t00, t01, t02), (u1, t10, t11, t12), (u2, t20, t21, t22) = form
     p = weight * (r00 + m0 * n0 + m1 * n1 + m2 * n2)
-    if not p > TRACE_FLOOR:
+    if not p > PROB_FLOOR:
         return 0.0
     v0 = u0 + t00 * n0 + t01 * n1 + t02 * n2
     v1 = u1 + t10 * n0 + t11 * n1 + t12 * n2
@@ -167,7 +164,7 @@ def _tangent_derivatives(form: tuple, n, e1, e2) -> tuple:
     gn = g1 = g2 = h11 = h12 = h22 = 0.0
     for s in (1.0, -1.0):
         a = r00 + s * mn
-        if a <= 2.0 * TRACE_FLOOR:  # the kernel counts this outcome as 0
+        if a <= 2.0 * PROB_FLOOR:  # the kernel counts this outcome as 0
             continue
         v0, v1, v2 = rows[0][0] + s * tn[0], rows[1][0] + s * tn[1], rows[2][0] + s * tn[2]
         spread = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
@@ -261,7 +258,7 @@ def _require_two_qubits(rho: DensityMatrix):
 
 
 def _direction_name(measured: int) -> str:
-    if _subsystem(measured) not in (0, 1):
+    if _integer(measured) not in (0, 1):
         raise BadSubsystemError(f"measured index must be 0 or 1, got {measured}")
     return "leftward" if measured == 1 else "rightward"
 
@@ -307,8 +304,7 @@ def discord_oracle_grid(rho: DensityMatrix, measured: int, resolution: int) -> f
     """
     _require_two_qubits(rho)
     _direction_name(measured)
-    if resolution < 1:
-        raise OutOfRangeError(f"resolution must be >= 1, got {resolution}")
+    _integer(resolution, "resolution", OutOfRangeError, low=1)
     th = np.linspace(0.0, pi / 2.0, resolution)
     ph = np.linspace(0.0, 2.0 * pi, 2 * resolution, endpoint=False)
     T, P = (x.ravel() for x in np.meshgrid(th, ph, indexing='ij'))
@@ -406,10 +402,8 @@ class AuditSummary:
 def kw_audit(count: int, seed: int) -> AuditSummary:
     """Sample pure three-qubit states and collect the identity residual over
     all three cyclic permutations of each, sharing its three pair marginals."""
-    if count < 1:
-        raise OutOfRangeError(f"count must be >= 1, got {count}")
-    if seed < 0:
-        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
+    _integer(count, "count", OutOfRangeError, low=1)
+    _integer(seed, "seed", OutOfRangeError, low=0)
     rng = np.random.default_rng(seed)
     residuals = []
     for _ in range(count):

@@ -101,15 +101,10 @@ def projective_pair(angles: BlochAngles) -> Povm:
 
 def measure_subsystem(rho: DensityMatrix, povm: Povm, target: int) -> list[MeasurementOutcome]:
     """Apply a POVM to one subsystem; conditional states live on the rest."""
-    if not 0 <= target < rho.subsystem_count():
-        raise DimMismatchError(f"target {target} out of range for dims {rho.dims}")
-    if povm.dim != rho.dims[target]:
-        raise DimMismatchError(
-            f"POVM dim {povm.dim} does not match subsystem dim {rho.dims[target]}")
     keep = [k for k in range(rho.subsystem_count()) if k != target]
     out = []
     for effect in povm.effects:
-        big = embed_local(effect, target, rho.dims)
+        big = embed_local(effect, target, rho.dims)  # checks the target and the POVM's dim
         unnormalized = _partial_trace_raw(big @ rho.mat, rho.dims, keep)
         p = float(np.real(unnormalized.trace()))
         if p < PROB_FLOOR:

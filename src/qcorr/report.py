@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from .correlations import MEASURE_FLOOR
 from .exceptions import ConsistencyError
 
 MARGINAL_KEYS = ("A", "B", "C")
@@ -21,13 +22,18 @@ DIRECTIONAL_KEYS = (
 )
 KW_KEYS = ("ABC", "BCA", "CAB")
 
-BITS_FLOOR = -1e-9
 PURITY_TOL = 1e-9
 
 
 def fmt12(value: float) -> str:
     """Decimal text with 12 significant digits, locale-independent."""
     return format(float(value), ".12g")
+
+
+def _fmt_bound(value: float) -> str:
+    """A bound as short mantissa-exponent text: 1e-4, not 0.0001 or 1e-04."""
+    mantissa, exponent = format(float(value), "e").split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}"
 
 
 def _require_keys(mapping: dict, keys: tuple, what: str):
@@ -68,10 +74,10 @@ class CorrelationReport:
         _require_keys(self.pairwise_discord, DIRECTIONAL_KEYS, "pairwise_discord")
         _require_keys(self.kw_residuals, KW_KEYS, "kw_residuals")
         for key, value in self.numeric_items():
-            if key == "filter_equivalence_distance":
-                continue
-            if value < BITS_FLOOR:
-                raise ConsistencyError(f"report field {key} = {value!r} below {BITS_FLOOR}")
+            if key == "filter_equivalence_distance" or key.startswith("kw_"):
+                continue  # the identity window alone judges a residual
+            if value < MEASURE_FLOOR:
+                raise ConsistencyError(f"report field {key} = {value!r} below {MEASURE_FLOOR}")
         if self.filter_equivalence_distance is not None and self.filter_equivalence_distance < 0:
             raise ConsistencyError("equivalence distance cannot be negative")
 

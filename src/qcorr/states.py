@@ -151,18 +151,20 @@ def _partial_trace_raw(mat: np.ndarray, dims: tuple[int, ...], keep: list[int]) 
     return out.reshape(d, d)
 
 
-def _subsystem(i) -> int:
-    """A subsystem index as an int: numpy integers pass, bools and
-    non-integers (which int() would truncate) raise BadSubsystemError."""
+def _integer(i, what: str = "subsystem index", error=BadSubsystemError, low=None) -> int:
+    """A subsystem index, or a count, as an int: numpy integers pass, and bools,
+    non-integers (which int() would truncate) and values below `low` raise `error`."""
     if isinstance(i, (bool, np.bool_)) or not hasattr(i, "__index__"):
-        raise BadSubsystemError(f"subsystem index must be an integer, got {i!r}")
+        raise error(f"{what} must be an integer, got {i!r}")
+    if low is not None and index(i) < low:
+        raise error(f"{what} must be >= {low}, got {i}")
     return index(i)
 
 
 def partial_trace(rho: DensityMatrix, discard) -> DensityMatrix:
     """Trace out the subsystems in `discard`, preserving factor order."""
     n = rho.subsystem_count()
-    d = sorted(set(_subsystem(i) for i in discard))
+    d = sorted(set(_integer(i) for i in discard))
     if not d:
         raise BadSubsystemError("discard set is empty")
     if any(i < 0 or i >= n for i in d):
@@ -184,7 +186,7 @@ def embed_local(op, target: int, dims) -> np.ndarray:
     """Identity on every factor except `target`, where `op` acts."""
     dims = tuple(int(d) for d in dims)
     m = as_square(op, "local operator")
-    if not 0 <= _subsystem(target) < len(dims):
+    if not 0 <= _integer(target) < len(dims):
         raise BadSubsystemError(f"target {target} out of range for dims {dims}")
     if m.shape[0] != dims[target]:
         raise DimMismatchError(

@@ -481,6 +481,18 @@ def test_kw_audit_deterministic_and_bounded():
             kw_audit(count, seed)
 
 
+def test_counts_must_be_integers(pair_pre):
+    # 2.5 would escape as a TypeError and True would count as 1
+    for count, seed in ((2.5, 7), (True, 7), (2, 7.0), (2, False)):
+        with pytest.raises(OutOfRangeError):
+            kw_audit(count, seed)
+    for resolution in (2.5, True, 0):
+        with pytest.raises(OutOfRangeError):
+            discord_oracle_grid(pair_pre, 1, resolution)
+    assert kw_audit(np.int64(2), np.int32(7)) == kw_audit(2, 7)
+    assert discord_oracle_grid(pair_pre, 1, np.int64(8)) == discord_oracle_grid(pair_pre, 1, 8)
+
+
 @pytest.mark.parametrize("seed, cfg", [
     (0, None), (17, None), (29, dict(NEWTON_MAXITER=120))])
 def test_kw_audit_equals_residual_over_the_same_states(seed, cfg, optimizer_constants):

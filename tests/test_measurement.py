@@ -20,6 +20,7 @@ from qcorr import (
     von_neumann_entropy,
 )
 from qcorr.exceptions import (
+    BadSubsystemError,
     DimMismatchError,
     InvalidPovmError,
     OutOfRangeError,
@@ -103,6 +104,21 @@ def test_measure_subsystem_zero_probability_flag():
     assert not outcomes[0].zero_probability
     assert outcomes[1].zero_probability
     assert outcomes[1].conditional_state is None
+
+
+def test_measure_subsystem_target_checks(pair_pre):
+    # embed_local alone checks the target and the POVM's dim: 1.0 would escape
+    # as a TypeError, True would index subsystem 1, and 2 and -1 are not dims
+    z_basis = projective_pair(BlochAngles(0.0, 0.0))
+    for target in (1.0, True, 2, -1):
+        with pytest.raises(BadSubsystemError):
+            measure_subsystem(pair_pre, z_basis, target)
+        with pytest.raises(BadSubsystemError):
+            conditional_entropy(pair_pre, z_basis, target)
+    with pytest.raises(DimMismatchError):
+        measure_subsystem(pair_pre, Povm((np.eye(3),)), 1)
+    assert (conditional_entropy(pair_pre, z_basis, np.int64(1))
+            == conditional_entropy(pair_pre, z_basis, 1))
 
 
 def test_conditional_entropy_values(pair_pre, bell_pair):

@@ -4,7 +4,14 @@ import pytest
 
 from qcorr import CorrelationReport
 from qcorr.exceptions import ConsistencyError
-from qcorr.report import fmt12, report_json_object, report_table, reproduce_csv, reproduce_json
+from qcorr.report import (
+    _fmt_bound,
+    fmt12,
+    report_json_object,
+    report_table,
+    reproduce_csv,
+    reproduce_json,
+)
 from qcorr.scenario import Check
 
 EXPECTED_KEY_ORDER = [
@@ -49,6 +56,9 @@ def test_fmt12_cases():
     assert fmt12(0.2017520733857121) == "0.201752073386"
     assert fmt12(1e-15) == "1e-15"
     assert fmt12(-0.0) == "-0"
+    # bounds print as written in their constants, not as 0.0001 or 1e-04
+    for bound, text in ((1e-4, "1e-4"), (-1e-6, "-1e-6"), (2e-3, "2e-3"), (1e-12, "1e-12")):
+        assert _fmt_bound(bound) == text
 
 
 def test_numeric_items_key_order():
@@ -69,7 +79,7 @@ def test_report_validation_rejects_bad_input():
     with pytest.raises(ConsistencyError):
         make_report(pairwise_eof={"AB": 0.0, "AC": 0.0, "XY": 0.0})
     with pytest.raises(ConsistencyError):
-        make_report(mutual_information_ac=-1e-3)  # below the bits floor
+        make_report(mutual_information_ac=-1e-3)  # below the measure floor
     with pytest.raises(ConsistencyError):
         make_report(filter_equivalence_distance=-0.5)
 

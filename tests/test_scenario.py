@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import qcorr.cli
 import qcorr.correlations
+import qcorr.scenario
 from qcorr import (
     acceptance_checks,
     apply_filter,
@@ -157,6 +160,29 @@ def test_acceptance_checks_all_pass(scenario_reports):
     for check in checks:
         assert check.passed, f"{check.name}: {check.detail}"
         assert check.detail
+
+
+def test_report_leaves_residuals_to_the_identity_window(scenario_reports):
+    # a residual may fall below the floor of a measure yet inside the window;
+    # only the identity_residuals check judges it, and it fails rather than raises
+    pre, post = scenario_reports
+    for residual, passed in ((-1e-8, True), (-1e-5, False)):
+        moved = dataclasses.replace(post, kw_residuals={"ABC": residual, "BCA": 0.0, "CAB": 0.0})
+        by_name = {c.name: c for c in acceptance_checks(pre, moved)}
+        assert by_name["identity_residuals"].passed is passed
+
+
+def test_details_print_the_bound_constants(monkeypatch, scenario_reports, capsys):
+    monkeypatch.setattr(qcorr.scenario, "OPTIMIZED_TOL", 3e-5)
+    monkeypatch.setattr(qcorr.scenario, "RESIDUAL_LOW", -2.5e-7)
+    by_name = {c.name: c for c in acceptance_checks(*scenario_reports)}
+    assert "tol 3e-5" in by_name["discord_asymmetry"].detail
+    assert by_name["classical_drop"].detail.endswith(", tol 3e-5")
+    assert by_name["pre_table"].detail.count("(tol 3e-5)") == 1
+    assert by_name["identity_residuals"].detail.endswith("bounds [-2.5e-7, 2e-3]")
+    monkeypatch.setattr(qcorr.cli, "RESIDUAL_HIGH", 5e-3)
+    assert qcorr.cli.main(["kw-audit", "--count", "1"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("bounds [-1e-6, 5e-3]")
 
 
 def test_acceptance_checks_fail_with_starved_optimizer(unrefined, optimizer_constants):
