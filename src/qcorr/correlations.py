@@ -7,17 +7,18 @@ minimization, memoized on the DensityMatrix object per measured qubit, so a
 later J or D on the same object reuses it. It reads the state once into its
 Bloch form, and one plain-float kernel prices each measurement direction in
 a few flops, as the objective of a Newton minimization on the sphere with
-closed-form derivatives, from the pole (0, 0, 1) and from the best of the
-state's own axes. A start that stops on a saddle point, as an X state's pole
-can be, escapes along the Hessian's negative curvature. Only projective pairs
-are searched: kw_audit's residuals bound what a general POVM could add on the
-rank-2 pairs of pure three-qubit states.
+closed-form derivatives, from the pole (0, 0, 1) and from the best
+eigenvector of T^T T, T the correlation tensor. A start that stops on a
+saddle point, as an X state's pole can be, escapes along the Hessian's
+negative curvature. Only projective pairs are searched: kw_audit's residuals
+bound what a general POVM could add on the rank-2 pairs of pure three-qubit
+states.
 Entropies read the spectrum each DensityMatrix kept, and concurrence reads
 its kept eigenvectors through Wootters' tau matrix. discord has one
 decomposition, and D = I_q - J is a tested property.
 discord_oracle_grid re-derives everything through a separate brute-force
-route (embedded effects, index-by-index partial traces) so the two can
-certify each other.
+route (embedded Paulis, index-by-index partial traces, each grid effect's
+block their linear combination) so the two can certify each other.
 """
 from __future__ import annotations
 
@@ -71,8 +72,6 @@ ESCAPE_STEP = 0.05
 # SPREAD_FLOOR, g'/|v| takes its limit -1/(a ln 2)
 RADIUS_CAP = 1.0 - 1e-15
 SPREAD_FLOOR = 1e-12
-# a Bloch-form axis shorter than this names no direction
-AXIS_FLOOR = 1e-9
 _LN2 = math.log(2.0)
 
 # float noise may push a directional measure, or any reported measure, this far below zero
@@ -239,13 +238,11 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int) -> SimpleNames
 
 def _min_conditional_entropy(rho4: np.ndarray, measured: int) -> tuple[float, BlochAngles, int]:
     """Newton from the pole (0, 0, 1) and from the best of the state's own
-    axes: the eigenvectors of T^T T, m and T^T u."""
+    axes, the eigenvectors of T^T T."""
     form = _bloch_form(rho4, measured)
-    r = np.array(form)
-    t = r[1:, 1:]
-    axes = [*np.linalg.eigh(t.T @ t)[1].T.tolist(), r[0, 1:].tolist(), (t.T @ r[1:, 0]).tolist()]
+    t = np.array(form)[1:, 1:]
     res = minimize(lambda x: _pair_entropy(form, *x), (0.0, 0.0, 1.0),
-                   alternatives=[_unit(x) for x in axes if math.hypot(*x) >= AXIS_FLOOR],
+                   alternatives=[_unit(x) for x in np.linalg.eigh(t.T @ t)[1].T.tolist()],
                    derivatives=lambda *a: _tangent_derivatives(form, *a), maxiter=NEWTON_MAXITER)
     x, y, z = res.x if res.x[2] >= 0.0 else (-res.x[0], -res.x[1], -res.x[2])
     phi = (math.atan2(y, x) + 2.0 * pi) % (2.0 * pi)  # never 2 pi: fmod is exact
@@ -298,13 +295,19 @@ def discord(rho: DensityMatrix, measured: int) -> DirectionalMeasure:
 def discord_oracle_grid(rho: DensityMatrix, measured: int, resolution: int) -> float:
     """Brute-force discord: exhaustive projective grid, no refinement.
 
-    Independent of the optimizer kernel on purpose: effects are embedded
-    into the full space, conditional blocks are traced out index-by-index,
+    Independent of the optimizer kernel on purpose: the four Paulis are
+    embedded into the full space and their conditional blocks B_k traced out
+    index-by-index; the effect (1 +- n.sigma) / 2 leaves (B_0 +- n.B) / 2,
     and 2x2 spectra come from the Bloch vector. Upper-bounds discord().
     """
     _require_two_qubits(rho)
     _direction_name(measured)
     _integer(resolution, "resolution", OutOfRangeError, low=1)
+    # B_k = Tr_m[(sigma_k on the measured qubit) rho]; an effect's block is linear in it
+    embed, trace = (('kbd,ac->kabcd', 'kabcb->kac') if measured == 1
+                    else ('kac,bd->kabcd', 'kabad->kbd'))
+    big = np.einsum(embed, _PAULI, _I2).reshape(4, 4, 4)
+    blocks = np.einsum(trace, (big @ rho.mat).reshape(4, 2, 2, 2, 2))
     th = np.linspace(0.0, pi / 2.0, resolution)
     ph = np.linspace(0.0, 2.0 * pi, 2 * resolution, endpoint=False)
     T, P = (x.ravel() for x in np.meshgrid(th, ph, indexing='ij'))
@@ -313,29 +316,17 @@ def discord_oracle_grid(rho: DensityMatrix, measured: int, resolution: int) -> f
     for lo in range(0, len(T), chunk):
         t, p = T[lo:lo + chunk], P[lo:lo + chunk]
         n = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
-        proj = 0.5 * (_I2[None]
-                      + n[:, 0, None, None] * SIGMA_X
-                      + n[:, 1, None, None] * SIGMA_Y
-                      + n[:, 2, None, None] * SIGMA_Z)
+        tilt = np.tensordot(n, blocks[1:], axes=1)
         total = np.zeros(len(t))
-        for eff in (proj, _I2[None] - proj):
-            if measured == 1:
-                big = np.einsum('ac,gbd->gabcd', _I2, eff).reshape(-1, 4, 4)
-            else:
-                big = np.einsum('gac,bd->gabcd', eff, _I2).reshape(-1, 4, 4)
-            prod = (big @ rho.mat).reshape(-1, 2, 2, 2, 2)
-            if measured == 1:
-                sig = np.einsum('gabcb->gac', prod)
-            else:
-                sig = np.einsum('gabad->gbd', prod)
+        for sig in (0.5 * (blocks[0] + tilt), 0.5 * (blocks[0] - tilt)):
             tr = np.real(sig[:, 0, 0] + sig[:, 1, 1])
             vx = 2.0 * np.real(sig[:, 0, 1])
             vy = -2.0 * np.imag(sig[:, 0, 1])
             vz = np.real(sig[:, 0, 0] - sig[:, 1, 1])
             radius = np.sqrt(vx * vx + vy * vy + vz * vz)
-            safe = np.where(tr > 1e-12, tr, 1.0)
-            lam = np.where(tr > 1e-12, 0.5 * (1.0 + radius / safe), 0.5)
-            total += np.where(tr > 1e-12, tr * _binary_h_vec(lam), 0.0)
+            safe = np.where(tr > PROB_FLOOR, tr, 1.0)
+            lam = np.where(tr > PROB_FLOOR, 0.5 * (1.0 + radius / safe), 0.5)
+            total += np.where(tr > PROB_FLOOR, tr * _binary_h_vec(lam), 0.0)
         best = min(best, float(total.min()))
     s_m = von_neumann_entropy(partial_trace(rho, [1 - measured]))
     s_full = von_neumann_entropy(rho)

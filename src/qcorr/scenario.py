@@ -217,7 +217,7 @@ def acceptance_checks(pre: CorrelationReport, post: CorrelationReport) -> list[C
     add("operator_equivalence",
         dist is not None and dist <= EXACT_TOL
         and abs(post.purity - 1.0) <= PURITY_TOL and abs(pre.purity - 1.0) <= PURITY_TOL,
-        f"filter-route distance = {dist:.2e} (tol {exact}), "
+        f"filter-route distance = {'unset' if dist is None else f'{dist:.2e}'} (tol {exact}), "
         f"purity pre/post = {pre.purity:.12f}/{post.purity:.12f} (tol {purity_tol})")
 
     return checks

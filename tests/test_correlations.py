@@ -2,6 +2,7 @@ import functools
 import gc
 import math
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -32,6 +33,7 @@ from qcorr import (
     projective_pair,
     random_pure_state,
     binary_entropy,
+    von_neumann_entropy,
 )
 from qcorr.correlations import (
     RESIDUAL_HIGH,
@@ -329,6 +331,31 @@ def test_discord_oracle_rejects_bad_input(pair_pre):
         discord_oracle_grid(pair_pre, 5, 50)
     with pytest.raises(BadSubsystemError):
         discord_oracle_grid(pair_pre, True, 10)
+
+
+def test_discord_oracle_is_its_grid_minimum_node_by_node(pair_pre, pair_post):
+    # the general POVM route at every node of the oracle's 5 x 10 grid; a
+    # slip in the sign or the side of the oracle's blocks moves its minimum
+    theta = np.linspace(0.0, math.pi / 2.0, 5)
+    phi = np.linspace(0.0, 2.0 * math.pi, 10, endpoint=False)
+    for rho in (pair_pre, pair_post, near_floor_pair(), random_mixed_pair(31)):
+        for measured in (0, 1):
+            best = min(conditional_entropy(rho, projective_pair(BlochAngles(t, p)), measured)
+                       for t in theta for p in phi)
+            want = (von_neumann_entropy(partial_trace(rho, [1 - measured]))
+                    - von_neumann_entropy(rho) + best)
+            assert abs(discord_oracle_grid(rho, measured, 5) - want) <= 1e-12
+
+
+def test_discord_oracle_memory_stays_chunked(pair_post):
+    # the 320,000 directions of resolution 400 in one chunk peak near 98 MB
+    tracemalloc.start()
+    try:
+        discord_oracle_grid(pair_post, 1, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_concurrence_extremes(bell_pair):

@@ -185,6 +185,15 @@ def test_details_print_the_bound_constants(monkeypatch, scenario_reports, capsys
     assert capsys.readouterr().out.rstrip().endswith("bounds [-1e-6, 5e-3]")
 
 
+def test_operator_equivalence_fails_without_a_filter_distance(scenario_reports):
+    # only a post stage carries the distance; judging a pre report in its
+    # place must fail the check, not raise formatting None
+    pre, _ = scenario_reports
+    by_name = {c.name: c for c in acceptance_checks(pre, pre)}
+    assert not by_name["operator_equivalence"].passed
+    assert by_name["operator_equivalence"].detail.startswith("filter-route distance = unset (tol")
+
+
 def test_acceptance_checks_fail_with_starved_optimizer(unrefined, optimizer_constants):
     # the pole with no refinement is not the optimal direction, so the
     # directional checks must report failure
