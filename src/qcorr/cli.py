@@ -34,13 +34,6 @@ from .states import DensityMatrix, PureState, density_from_pure
 FORMATS = ("table", "json", "csv")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
-
-
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--format", choices=FORMATS, default="table",
                         help="output format (default table)")
@@ -166,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("kw-audit", help="randomized entropy-identity audit")
-    p.add_argument("--count", type=_positive_int, default=100,
+    p.add_argument("--count", type=int, default=100,
                    help="number of random states (default 100)")
     p.add_argument("--seed", type=int, default=7, help="sampler seed (default 7)")
     _common_flags(p)

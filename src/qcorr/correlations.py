@@ -2,10 +2,10 @@
 entanglement of formation for two-qubit states, and the residual of the
 entropy bookkeeping identity on pure three-qubit states.
 
-J and D of a (state, measured qubit) share one conditional-entropy
-minimization, memoized on the DensityMatrix object per measured qubit, so a
-later J or D on the same object reuses it. It reads the state once into its
-Bloch form, and one plain-float kernel prices each measurement direction in
+J and D of a (state, measured qubit) share one Bloch form and one
+conditional-entropy minimization, memoized on the DensityMatrix object per
+measured qubit, so a later J or D on the same object reuses both. One
+plain-float kernel prices each measurement direction from that form in
 a few flops, as the objective of a Newton minimization on the sphere with
 closed-form derivatives, from the pole (0, 0, 1) and from the best
 eigenvector of T^T T, T the correlation tensor. A start that stops on a
@@ -13,9 +13,10 @@ saddle point, as an X state's pole can be, escapes along the Hessian's
 negative curvature. Only projective pairs are searched: kw_audit's residuals
 bound what a general POVM could add on the rank-2 pairs of pure three-qubit
 states.
-Entropies read the spectrum each DensityMatrix kept, and concurrence reads
-its kept eigenvectors through Wootters' tau matrix. discord has one
-decomposition, and D = I_q - J is a tested property.
+J and D read the two qubit entropies off the form, other entropies the
+spectrum a DensityMatrix kept, and concurrence its kept eigenvectors through
+Wootters' tau matrix. discord has one decomposition, and D = I_q - J, with
+I_q from partial traces, is a tested property.
 discord_oracle_grid re-derives everything through a separate brute-force
 route (embedded Paulis, index-by-index partial traces, each grid effect's
 block their linear combination) so the two can certify each other.
@@ -29,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .entropy import binary_entropy, von_neumann_entropy
+from .entropy import binary_entropy, entropy_of_spectrum, von_neumann_entropy
 from .exceptions import (
     BadPermutationError,
     BadSubsystemError,
@@ -236,10 +237,9 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int) -> SimpleNames
     return SimpleNamespace(x=best[1], fun=best[0], nfev=nfev, nit=nit, success=success)
 
 
-def _min_conditional_entropy(rho4: np.ndarray, measured: int) -> tuple[float, BlochAngles, int]:
+def _min_conditional_entropy(form: tuple) -> tuple[float, BlochAngles, int]:
     """Newton from the pole (0, 0, 1) and from the best of the state's own
-    axes, the eigenvectors of T^T T."""
-    form = _bloch_form(rho4, measured)
+    axes, the eigenvectors of T^T T, for the Bloch form of one measured side."""
     t = np.array(form)[1:, 1:]
     res = minimize(lambda x: _pair_entropy(form, *x), (0.0, 0.0, 1.0),
                    alternatives=[_unit(x) for x in np.linalg.eigh(t.T @ t)[1].T.tolist()],
@@ -260,35 +260,42 @@ def _direction_name(measured: int) -> str:
     return "leftward" if measured == 1 else "rightward"
 
 
+def _qubit_entropy(t: float, v0: float, v1: float, v2: float) -> float:
+    """S of a qubit block with trace t and Bloch vector v: eigenvalues (t +- |v|) / 2."""
+    r = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    return entropy_of_spectrum([0.5 * (t - r), 0.5 * (t + r)])
+
+
 def _minimize_side(rho: DensityMatrix, measured: int) -> tuple:
-    """(direction, S(unmeasured), min conditional entropy, angles, evals); all
-    but the direction are computed once per (rho object, measured) and then
-    read from rho's memo."""
+    """(direction, Bloch form, S(unmeasured), min conditional entropy, angles,
+    evals); all but the direction are computed once per (rho object,
+    measured) and then read from rho's memo."""
     _require_two_qubits(rho)
     direction = _direction_name(measured)
     found = rho._minima.get(measured)
     if found is None:
-        s_u = von_neumann_entropy(partial_trace(rho, [measured]))
-        found = rho._minima[measured] = (s_u, *_min_conditional_entropy(rho.mat, measured))
+        form = _bloch_form(rho.mat, measured)
+        s_u = _qubit_entropy(form[0][0], *(row[0] for row in form[1:]))
+        found = rho._minima[measured] = (form, s_u, *_min_conditional_entropy(form))
     return (direction, *found)
 
 
 def classical_correlation(rho: DensityMatrix, measured: int) -> DirectionalMeasure:
     """J: entropy of the unmeasured qubit minus the best conditional entropy
     achievable with a projective pair on the measured one."""
-    direction, s_u, best, angles, evals = _minimize_side(rho, measured)
+    direction, _, s_u, best, angles, evals = _minimize_side(rho, measured)
     return DirectionalMeasure(s_u - best, direction, angles, evals)
 
 
 def discord(rho: DensityMatrix, measured: int) -> DirectionalMeasure:
     """Quantum discord D = S(measured) - S(full) + min conditional entropy.
 
-    One decomposition, sharing the minimum with classical_correlation. That
-    D = I_q - J holds is a property the tests check, not a runtime check:
-    both forms add the same entropies, only in another order.
+    One decomposition, sharing the Bloch form and the minimum with
+    classical_correlation. That D = I_q - J holds is a property the tests
+    check, not a runtime check; it compares the form's entropies with I_q's.
     """
-    direction, _, best, angles, evals = _minimize_side(rho, measured)
-    s_m = von_neumann_entropy(partial_trace(rho, [1 - measured]))
+    direction, form, _, best, angles, evals = _minimize_side(rho, measured)
+    s_m = _qubit_entropy(*form[0])  # row 0 is (Tr rho, m)
     return DirectionalMeasure(s_m - von_neumann_entropy(rho) + best, direction, angles, evals)
 
 
@@ -361,7 +368,7 @@ def koashi_winter_residual(psi: PureState, a: int, b: int, c: int) -> float:
     Exactly zero for pure three-qubit states when J is maximized over all
     POVMs. A projective-only J can only fall short of that, which can only
     raise the residual; yet the residuals measured are rounding of either
-    sign, [-1.89e-15, 8.38e-15] over kw_audit(100, 7).
+    sign, [-2.00e-15, 8.38e-15] over kw_audit(100, 7).
     """
     if psi.dims != (2, 2, 2):
         raise DimMismatchError(f"three-qubit pure state required, got dims {psi.dims}")

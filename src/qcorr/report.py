@@ -22,8 +22,6 @@ DIRECTIONAL_KEYS = (
 )
 KW_KEYS = ("ABC", "BCA", "CAB")
 
-PURITY_TOL = 1e-9
-
 
 def fmt12(value: float) -> str:
     """Decimal text with 12 significant digits, locale-independent."""
@@ -65,8 +63,6 @@ class CorrelationReport:
     def __post_init__(self):
         if self.stage not in ("pre", "post"):
             raise ConsistencyError(f"stage must be 'pre' or 'post', got {self.stage!r}")
-        if abs(self.purity - 1.0) > PURITY_TOL:
-            raise ConsistencyError(f"report purity {self.purity!r} deviates from 1")
         _require_keys(self.marginal_entropies, MARGINAL_KEYS, "marginal_entropies")
         _require_keys(self.bipartition_entropies, PAIR_KEYS, "bipartition_entropies")
         _require_keys(self.pairwise_eof, PAIR_KEYS, "pairwise_eof")

@@ -25,15 +25,16 @@ from .correlations import (
 from .entropy import mutual_information, von_neumann_entropy
 from .linalg import frobenius_distance, kron
 from .measurement import apply_filter, apply_global_operator
-from .report import PURITY_TOL, CorrelationReport, _fmt_bound
+from .report import CorrelationReport, _fmt_bound
 from .states import DensityMatrix, PureState, density_from_pure, partial_trace, purity
 
 LABELS = ("A", "B", "C")
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
-# acceptance bounds; purity uses report.PURITY_TOL, residuals correlations.RESIDUAL_*
+# acceptance bounds; residuals use correlations.RESIDUAL_*
 EXACT_TOL = 1e-12  # closed-form entropies and the filter routes: equal up to rounding
 CLOSED_FORM_TOL = 1e-9  # every other closed form
+PURITY_TOL = 1e-9  # a pure stage's Tr[rho^2]
 OPTIMIZED_TOL = 1e-4  # J and D, which come out of a minimization
 VANISHING_TOL = 1e-6  # a discord that must vanish
 

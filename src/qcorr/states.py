@@ -8,10 +8,11 @@ convention (left factor most significant).
 A DensityMatrix keeps the eigendecomposition its PSD check computed, the
 eigenvalues as `spectrum` and the eigenvectors as `eigenvectors`, so
 entropies and concurrence need no second eigendecomposition. It also
-carries a private per-instance dict in which qcorr.correlations memoizes
-each conditional-entropy minimization, so J and D on one state object
-share one minimization. None of these takes part in repr or ==, and the
-memo holds numbers only, never a state. Two DensityMatrix (or PureState)
+carries a private per-instance dict in which qcorr.correlations memoizes,
+per measured qubit, the state's Bloch form and its conditional-entropy
+minimization, so J and D on one state object share one of each. None of
+these takes part in repr or ==, and the memo holds numbers only, never a
+state. Two DensityMatrix (or PureState)
 objects are == when their dims and entries are equal; neither is hashable.
 """
 from __future__ import annotations
@@ -58,8 +59,8 @@ class DensityMatrix:
     dims: tuple[int, ...] = field(default=())
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
-    # measured -> (S_u, best, angles, evals), filled by
-    # qcorr.correlations; numbers only, so no reference cycle through the state
+    # measured -> (Bloch form, S_u, best, angles, evals), filled by qcorr.correlations;
+    # floats, BlochAngles and an int only, so no reference cycle through the state
     _minima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -237,9 +237,8 @@ def test_kw_audit_layout(capsys):
 
 
 def test_kw_audit_rejects_zero_count(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["kw-audit", "--count", "0"])
-    assert info.value.code == 2
+    code, out, err = run_cli(["kw-audit", "--count", "0"], capsys)
+    assert (code, out, err) == (2, "", "error: count must be >= 1, got 0\n")
 
 
 def test_kw_audit_negative_seed_reports_error(capsys):

@@ -296,22 +296,28 @@ def test_discord_bell_state(bell_pair):
 
 
 def test_discord_equals_mi_minus_j_on_random_states():
-    for seed in range(5):
-        rho = random_mixed_pair(200 + seed)
-        measured = seed % 2
-        d = discord(rho, measured)
-        j = classical_correlation(rho, measured)
+    # D + J takes S(measured) and S(unmeasured) from the Bloch form, I_q from
+    # two partial traces: the two routes must agree to rounding
+    states = [random_mixed_pair(200 + seed) for seed in range(5)] + adversarial_pairs(808, 20)
+    states += [rho for rho, _ in near_tie_pairs()]
+    worst = 0.0
+    for rho in states:
         iq = mutual_information(rho, [0])
-        assert abs(d.value - (iq - j.value)) < 1e-9
+        for measured in (0, 1):
+            d = discord(rho, measured)
+            j = classical_correlation(rho, measured)
+            worst = max(worst, abs(d.value - (iq - j.value)))
+    assert worst <= 1e-12
 
 
 def test_discord_after_classical_correlation_traces_once(monkeypatch):
-    # D reads the minimum J stored on the object; the only new work is S(measured)
+    # D reads the Bloch form and the minimum J stored on the object; the only
+    # new work is S(measured) from the form's first row, and S(rho)
     rho = random_mixed_pair(9)
     classical_correlation(rho, 1)
     counts = count_calls(monkeypatch, partial_trace, mutual_information, minimize)
     discord(rho, 1)
-    assert counts == {"partial_trace": 1}
+    assert counts == {}
 
 
 def test_discord_oracle_agrees_on_pairs(pair_pre, pair_post):
@@ -539,8 +545,9 @@ def test_kw_audit_equals_residual_over_the_same_states(seed, cfg, optimizer_cons
 def test_kw_audit_decomposes_each_state_once(monkeypatch):
     counts = count_calls(monkeypatch, density_from_pure, partial_trace, minimize)
     kw_audit(1, 3)
-    # one rho, three pair marginals, and per labeling S(a) plus J's S(unmeasured)
-    assert counts == {"density_from_pure": 1, "partial_trace": 9, "minimize": 3}
+    # one rho, three pair marginals, and S(a) per labeling; J reads S(unmeasured)
+    # from the pair's Bloch form
+    assert counts == {"density_from_pure": 1, "partial_trace": 6, "minimize": 3}
 
 
 def test_optimizer_agrees_with_refined_fine_grid_on_adversarial_states(monkeypatch,
@@ -549,7 +556,7 @@ def test_optimizer_agrees_with_refined_fine_grid_on_adversarial_states(monkeypat
     calls = recording_minimize(monkeypatch)
     cases = ([(rho, m) for rho in adversarial_pairs(808, 20) for m in (0, 1)]
              + near_tie_pairs() + unrotated_near_tie_pairs())
-    worst = max(_min_conditional_entropy(rho.mat, measured)[0]
+    worst = max(_min_conditional_entropy(_bloch_form(rho.mat, measured))[0]
                 - reference_minimum(rho.mat, measured, grid_minimum) for rho, measured in cases)
     assert worst <= 1e-9
     assert len(calls) == len(cases)
@@ -580,7 +587,7 @@ def test_newton_escapes_a_saddle_at_the_pole(grid_minimum):
 def test_min_entropy_below_every_coarse_node_on_filtered_pair(monkeypatch, grid_minimum,
                                                                pair_post):
     calls = recording_minimize(monkeypatch)
-    best = _min_conditional_entropy(pair_post.mat, 1)[0]
+    best = _min_conditional_entropy(_bloch_form(pair_post.mat, 1))[0]
     assert best <= grid_minimum(pair_post.mat, 1, 16)[0] + 1e-12
     assert len(calls) == 1
 
@@ -592,7 +599,7 @@ def test_min_entropy_below_every_coarse_node_on_random_states(monkeypatch, grid_
     mats += [rho.mat for rho in adversarial_pairs(45, 2)]
     for mat in mats:
         for measured in (0, 1):
-            best = _min_conditional_entropy(mat, measured)[0]
+            best = _min_conditional_entropy(_bloch_form(mat, measured))[0]
             assert best <= grid_minimum(mat, measured, 16)[0] + 1e-12
     assert len(calls) == 2 * len(mats)
 
@@ -690,6 +697,6 @@ def test_newton_never_ends_above_its_first_start(monkeypatch, optimizer_constant
     calls = recording_minimize(monkeypatch)
     mat = random_mixed_pair(20).mat
     with optimizer_constants(NEWTON_MAXITER=1):
-        _min_conditional_entropy(mat, 1)
-    _min_conditional_entropy(mat, 1)
+        _min_conditional_entropy(_bloch_form(mat, 1))
+    _min_conditional_entropy(_bloch_form(mat, 1))
     assert [result.success for result in calls] == [False, True]

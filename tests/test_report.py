@@ -73,8 +73,6 @@ def test_report_validation_rejects_bad_input():
     with pytest.raises(ConsistencyError):
         make_report(stage="middle")
     with pytest.raises(ConsistencyError):
-        make_report(purity=0.9)
-    with pytest.raises(ConsistencyError):
         make_report(marginal_entropies={"A": 1.0, "B": 1.0})  # missing C
     with pytest.raises(ConsistencyError):
         make_report(pairwise_eof={"AB": 0.0, "AC": 0.0, "XY": 0.0})

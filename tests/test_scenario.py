@@ -194,6 +194,16 @@ def test_operator_equivalence_fails_without_a_filter_distance(scenario_reports):
     assert by_name["operator_equivalence"].detail.startswith("filter-route distance = unset (tol")
 
 
+def test_operator_equivalence_alone_judges_purity(scenario_reports):
+    # the report takes any purity; a post stage just past PURITY_TOL must
+    # construct and fail the check, not raise before any check runs
+    pre, post = scenario_reports
+    mixed = dataclasses.replace(post, purity=1 - 2e-9)
+    by_name = {c.name: c for c in acceptance_checks(pre, mixed)}
+    assert not by_name["operator_equivalence"].passed
+    assert all(c.passed for c in acceptance_checks(pre, post))
+
+
 def test_acceptance_checks_fail_with_starved_optimizer(unrefined, optimizer_constants):
     # the pole with no refinement is not the optimal direction, so the
     # directional checks must report failure
