@@ -12,8 +12,8 @@ carries a private per-instance dict in which qcorr.correlations memoizes,
 per measured qubit, the state's Bloch form and its conditional-entropy
 minimization, so J and D on one state object share one of each. None of
 these takes part in repr or ==, and the memo holds numbers only, never a
-state. Two DensityMatrix (or PureState)
-objects are == when their dims and entries are equal; neither is hashable.
+state. Two DensityMatrix (or PureState) objects are == when their dims
+and entries are equal; neither is hashable.
 """
 from __future__ import annotations
 
