@@ -10,9 +10,9 @@ a few flops, as the objective of a Newton minimization on the sphere with
 closed-form derivatives, from the pole (0, 0, 1) and from the best
 eigenvector of T^T T, T the correlation tensor. A start that stops on a
 saddle point, as an X state's pole can be, escapes along the Hessian's
-negative curvature. Only projective pairs are searched: kw_audit's residuals
-bound what a general POVM could add on the rank-2 pairs of pure three-qubit
-states.
+negative curvature. Only projective pairs are searched, but on a rank <= 2
+state the axis start runs first, and a minimum within CERTIFY_TOL of the
+Koashi-Winter floor, the POVM minimum, is certified and skips the pole.
 J and D read the two qubit entropies off the form, other entropies the
 spectrum a DensityMatrix kept, and concurrence its kept eigenvectors through
 Wootters' tau matrix. discord has one decomposition, and D = I_q - J, with
@@ -74,6 +74,11 @@ ESCAPE_STEP = 0.05
 RADIUS_CAP = 1.0 - 1e-15
 SPREAD_FLOOR = 1e-12
 _LN2 = math.log(2.0)
+
+# a state whose two lowest eigenvalues sum to at most RANK2_MASS counts as
+# rank <= 2; a minimum within CERTIFY_TOL of its Koashi-Winter floor is optimal
+RANK2_MASS = 1e-12
+CERTIFY_TOL = 1e-12
 
 # float noise may push a directional measure, or any reported measure, this far below zero
 MEASURE_FLOOR = -1e-9
@@ -187,7 +192,7 @@ def _tangent_derivatives(form: tuple, n, e1, e2) -> tuple:
     return 0.5 * g1, 0.5 * g2, 0.5 * (h11 - gn), 0.5 * h12, 0.5 * (h22 - gn)
 
 
-def minimize(fun, x0, *, alternatives, derivatives, maxiter: int) -> SimpleNamespace:
+def minimize(fun, x0, *, alternatives, derivatives, maxiter: int, floor=None) -> SimpleNamespace:
     """Riemannian Newton on the unit sphere from x0 and from the lowest of the
     alternatives; the lower end point is returned as .x and .fun.
 
@@ -197,11 +202,14 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int) -> SimpleNames
     that is not positive definite is shifted until it is, and steps are
     retracted by normalizing. Where the shifted step predicts no decrease but
     the Hessian curves down, as at a saddle point, the start escapes along
-    that curvature. nfev counts calls of both functions, nit Newton
-    iterations, and success is whether every start stopped within maxiter."""
+    that curvature. Given a floor no value can go below, the alternative runs
+    first and no start runs once the best value is within CERTIFY_TOL of it.
+    nfev counts calls of both functions, nit Newton iterations, and success
+    is whether every start that ran stopped within maxiter."""
     starts = [(fun(x0), x0)] + sorted((fun(x), x) for x in alternatives)[:1]
-    nfev, nit, success, best = 1 + len(alternatives), 0, True, starts[0]
-    for f, n in starts:
+    nfev, nit, success, ends = 1 + len(alternatives), 0, True, list(starts)
+    for i in (range(len(starts)) if floor is None else reversed(range(len(starts)))):
+        f, n = starts[i]
         for _ in range(maxiter):
             e1 = _unit((n[1], -n[0], 0.0) if abs(n[2]) < 0.5 else (0.0, n[2], -n[1]))
             e2 = (n[1] * e1[2] - n[2] * e1[1], n[2] * e1[0] - n[0] * e1[2],
@@ -233,17 +241,22 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int) -> SimpleNames
             f, n = fx, x
         else:
             success = False
-        best = best if best[0] <= f else (f, n)
+        ends[i] = (f, n)
+        if floor is not None and min(e[0] for e in ends) <= floor + CERTIFY_TOL:
+            break
+    best = min(ends, key=lambda e: e[0])  # the earlier start on a tie, x0 first
     return SimpleNamespace(x=best[1], fun=best[0], nfev=nfev, nit=nit, success=success)
 
 
-def _min_conditional_entropy(form: tuple) -> tuple[float, BlochAngles, int]:
+def _min_conditional_entropy(form: tuple, floor=None) -> tuple[float, BlochAngles, int]:
     """Newton from the pole (0, 0, 1) and from the best of the state's own
-    axes, the eigenvectors of T^T T, for the Bloch form of one measured side."""
+    axes, the eigenvectors of T^T T, for the Bloch form of one measured side;
+    with a floor (_kw_floor), the axis runs first and may certify alone."""
     t = np.array(form)[1:, 1:]
     res = minimize(lambda x: _pair_entropy(form, *x), (0.0, 0.0, 1.0),
                    alternatives=[_unit(x) for x in np.linalg.eigh(t.T @ t)[1].T.tolist()],
-                   derivatives=lambda *a: _tangent_derivatives(form, *a), maxiter=NEWTON_MAXITER)
+                   derivatives=lambda *a: _tangent_derivatives(form, *a), maxiter=NEWTON_MAXITER,
+                   floor=floor)
     x, y, z = res.x if res.x[2] >= 0.0 else (-res.x[0], -res.x[1], -res.x[2])
     phi = (math.atan2(y, x) + 2.0 * pi) % (2.0 * pi)  # never 2 pi: fmod is exact
     return res.fun, BlochAngles(math.acos(min(z, 1.0)), phi), res.nfev
@@ -266,6 +279,23 @@ def _qubit_entropy(t: float, v0: float, v1: float, v2: float) -> float:
     return entropy_of_spectrum([0.5 * (t - r), 0.5 * (t + r)])
 
 
+def _kw_floor(rho: DensityMatrix, measured: int):
+    """E_F(rho_uP) for a rank <= 2 pair, P its qubit purification, else None.
+
+    By Koashi and Winter (PRA 69, 022309, 2004), the minimum conditional
+    entropy over all POVMs on M. psi = sum_i sqrt(lam_i) |v_i>|i>, as a 4x2 W
+    with rows (u, P) and columns M, is an ensemble of rho_uP, so C = s1 - s2
+    over tau = W^T (Y x Y) W, and C^2 = |tau|_F^2 - 2 |det tau|."""
+    if rho.spectrum[0] + rho.spectrum[1] > RANK2_MASS:
+        return None
+    w = (rho.eigenvectors[:, 2:] * np.sqrt(np.clip(rho.spectrum[2:], 0.0, None))).reshape(2, 2, 2)
+    w = w.transpose((1, 2, 0) if measured == 0 else (0, 2, 1)).reshape(4, 2)
+    (a, b), (c, d) = (w.T @ _YY @ w).tolist()
+    c2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 - 2.0 * abs(a * d - b * c)
+    x = 0.5 + 0.5 * math.sqrt(max(1.0 - c2, 0.0))
+    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x)) if x < 1.0 else 0.0
+
+
 def _minimize_side(rho: DensityMatrix, measured: int) -> tuple:
     """(direction, Bloch form, S(unmeasured), min conditional entropy, angles,
     evals); all but the direction are computed once per (rho object,
@@ -276,7 +306,8 @@ def _minimize_side(rho: DensityMatrix, measured: int) -> tuple:
     if found is None:
         form = _bloch_form(rho.mat, measured)
         s_u = _qubit_entropy(form[0][0], *(row[0] for row in form[1:]))
-        found = rho._minima[measured] = (form, s_u, *_min_conditional_entropy(form))
+        best = _min_conditional_entropy(form, _kw_floor(rho, measured))
+        found = rho._minima[measured] = (form, s_u, *best)
     return (direction, *found)
 
 
@@ -367,8 +398,9 @@ def koashi_winter_residual(psi: PureState, a: int, b: int, c: int) -> float:
 
     Exactly zero for pure three-qubit states when J is maximized over all
     POVMs. A projective-only J can only fall short of that, which can only
-    raise the residual; yet the residuals measured are rounding of either
-    sign, [-2.00e-15, 8.38e-15] over kw_audit(100, 7).
+    raise the residual; but rho_ac has rank 2, so its minimum is certified
+    against the floor E_F(rho_ab), and the residual is that minimum minus
+    the floor, to rounding: [-2.00e-15, 8.99e-15] over kw_audit(100, 7).
     """
     if psi.dims != (2, 2, 2):
         raise DimMismatchError(f"three-qubit pure state required, got dims {psi.dims}")
