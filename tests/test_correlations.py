@@ -33,14 +33,19 @@ from qcorr import (
     projective_pair,
     random_pure_state,
     binary_entropy,
+    run_scenario,
     von_neumann_entropy,
 )
 from qcorr.correlations import (
+    CERTIFY_TOL,
+    RANK2_MASS,
     RESIDUAL_HIGH,
     RESIDUAL_LOW,
     _bloch_form,
     _effect_entropy,
+    _kw_floor,
     _min_conditional_entropy,
+    _minimize_side,
     _pair_entropy,
     _tangent_derivatives,
     minimize,
@@ -700,3 +705,121 @@ def test_newton_never_ends_above_its_first_start(monkeypatch, optimizer_constant
         _min_conditional_entropy(_bloch_form(mat, 1))
     _min_conditional_entropy(_bloch_form(mat, 1))
     assert [result.success for result in calls] == [False, True]
+
+
+# -- the Koashi-Winter floor ----------------------------------------------------
+
+def purification_floor(rho: DensityMatrix, measured: int) -> float:
+    """E_F(rho_uP) by the public route, sharing no code with _kw_floor: the
+    purification psi = sum_i sqrt(lam_i) |v_i>|i> over the two largest
+    eigenpairs as a PureState of dims (2, 2, 2), its density matrix, the
+    measured qubit traced out, and eof_two_qubits."""
+    lam, vecs = rho.spectrum, rho.eigenvectors
+    amps = sum(math.sqrt(max(lam[i], 0.0)) * np.kron(vecs[:, i], np.eye(2)[i - 2]) for i in (2, 3))
+    return eof_two_qubits(partial_trace(density_from_pure(PureState(amps, (2, 2, 2))), [measured]))
+
+
+def audit_pairs(count: int) -> list[DensityMatrix]:
+    """The pair marginals of the first count triples kw_audit(count, 7) draws."""
+    rng = np.random.default_rng(7)
+    rhos = [density_from_pure(sample_pure_state((2, 2, 2), rng)) for _ in range(count)]
+    return [partial_trace(rho, [k]) for rho in rhos for k in range(3)]
+
+
+def test_kw_floor_is_the_purification_eof_and_bounds_every_minimum(monkeypatch):
+    # every pair the scenario and the audit minimize has rank 2, so every
+    # minimum must be certified, and none may lie below the floor
+    records = []
+    real_floor, real_min = _kw_floor, _min_conditional_entropy
+
+    def floor(rho, measured):
+        records.append([rho, measured, real_floor(rho, measured)])
+        return records[-1][2]
+
+    def min_entropy(form, floor=None):
+        records[-1].append(real_min(form, floor))
+        return records[-1][3]
+
+    monkeypatch.setattr(qcorr.correlations, "_kw_floor", floor)
+    monkeypatch.setattr(qcorr.correlations, "_min_conditional_entropy", min_entropy)
+    run_scenario()
+    assert len(records) == 12
+    kw_audit(100, 7)
+    assert len(records) == 312
+    for rho, measured, floor, (best, _, _) in records:
+        assert floor is not None
+        assert abs(floor - purification_floor(rho, measured)) <= 1e-12
+        assert floor - 1e-12 <= best <= floor + CERTIFY_TOL
+
+
+def test_states_above_rank_two_get_no_floor_and_both_starts(monkeypatch):
+    # full-rank states, and near_floor_pair, whose two lowest eigenvalues
+    # sum to 1.5e-12, just above RANK2_MASS
+    calls = []
+    real_minimize = qcorr.correlations.minimize
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["floor"])
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(qcorr.correlations, "minimize", recording)
+    states = [rho for rho in adversarial_pairs(808, 5) if rho.spectrum[0] > RANK2_MASS]
+    assert len(states) >= 15
+    assert RANK2_MASS < sum(near_floor_pair().spectrum[:2]) <= 2 * RANK2_MASS
+    for rho in states + [near_floor_pair()]:
+        for measured in (0, 1):
+            assert _kw_floor(rho, measured) is None
+            found = _minimize_side(rho, measured)[3:]
+            assert found == _min_conditional_entropy(_bloch_form(rho.mat, measured))
+    assert set(calls) == {None}
+
+
+def test_an_unreachable_floor_gives_the_result_without_one(monkeypatch):
+    # with a floor of -1 both starts run, axis first; value, angles and
+    # evaluations must still be the ones without a floor, bit for bit
+    pairs = audit_pairs(10) + adversarial_pairs(808, 5)[2 * 5:3 * 5]  # the traced(2) kind
+    plain = [_min_conditional_entropy(_bloch_form(rho.mat, m)) for rho in pairs for m in (0, 1)]
+    certified = [_minimize_side(DensityMatrix(rho.mat, (2, 2)), m)[3:]
+                 for rho in pairs for m in (0, 1)]
+    assert sum(c[2] < p[2] for c, p in zip(certified, plain)) >= len(plain) // 2
+    monkeypatch.setattr(qcorr.correlations, "_kw_floor", lambda rho, measured: -1.0)
+    unreachable = [_minimize_side(DensityMatrix(rho.mat, (2, 2)), m)[3:]
+                   for rho in pairs for m in (0, 1)]
+    assert unreachable == plain
+
+
+def test_with_a_floor_the_objective_is_first_called_at_the_pole(monkeypatch, entangled_pair):
+    # bench/tracer.py reads the first objective value as the start's
+    seen = []
+    real_minimize = qcorr.correlations.minimize
+
+    def first_point(fun, x0, **kwargs):
+        points = []
+
+        def objective(x):
+            points.append(tuple(x))
+            return fun(x)
+
+        res = real_minimize(objective, x0, **kwargs)
+        seen.append((x0, points[0], kwargs["floor"], res.fun))
+        return res
+
+    monkeypatch.setattr(qcorr.correlations, "minimize", first_point)
+    rho = DensityMatrix(entangled_pair.mat, (2, 2))
+    for measured in (0, 1):
+        classical_correlation(rho, measured)
+    assert len(seen) == 2
+    for x0, first, floor, best in seen:
+        assert x0 == first == (0.0, 0.0, 1.0)
+        assert floor is not None and best <= floor + CERTIFY_TOL
+
+
+def test_certification_cuts_the_audit_evaluations():
+    # fails if certification stops firing, say because the rank test or the
+    # floor regressed; the ratio is about 0.48
+    certified = uncertified = 0
+    for pair in audit_pairs(50):
+        for measured in (0, 1):
+            certified += classical_correlation(pair, measured).optimizer_evals
+            uncertified += _min_conditional_entropy(_bloch_form(pair.mat, measured))[2]
+    assert certified <= 0.6 * uncertified
