@@ -12,7 +12,7 @@ eigenvector of T^T T, T the correlation tensor. A start that stops on a
 saddle point, as an X state's pole can be, escapes along the Hessian's
 negative curvature. Only projective pairs are searched, but on a rank <= 2
 state the axis start runs first, and a minimum within CERTIFY_TOL of the
-Koashi-Winter floor, the POVM minimum, is certified and skips the pole.
+Koashi-Winter floor, the POVM minimum, is certified and skips the pole start.
 J and D read the two qubit entropies off the form, other entropies the
 spectrum a DensityMatrix kept, and concurrence its kept eigenvectors through
 Wootters' tau matrix. discord has one decomposition, and D = I_q - J, with
@@ -283,9 +283,10 @@ def _kw_floor(rho: DensityMatrix, measured: int):
     """E_F(rho_uP) for a rank <= 2 pair, P its qubit purification, else None.
 
     By Koashi and Winter (PRA 69, 022309, 2004), the minimum conditional
-    entropy over all POVMs on M. psi = sum_i sqrt(lam_i) |v_i>|i>, as a 4x2 W
-    with rows (u, P) and columns M, is an ensemble of rho_uP, so C = s1 - s2
-    over tau = W^T (Y x Y) W, and C^2 = |tau|_F^2 - 2 |det tau|."""
+    entropy over all POVMs on M. psi = sum_i sqrt(lam_i) |v_i>|i> over the two
+    kept eigenpairs, as a 4x2 W with rows (u, P) and columns M, is an ensemble
+    of rho_uP, so C = s1 - s2 over tau = W^T (Y x Y) W, and
+    C^2 = |tau|_F^2 - 2 |det tau|."""
     if rho.spectrum[0] + rho.spectrum[1] > RANK2_MASS:
         return None
     w = (rho.eigenvectors[:, 2:] * np.sqrt(np.clip(rho.spectrum[2:], 0.0, None))).reshape(2, 2, 2)
