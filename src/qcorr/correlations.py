@@ -10,8 +10,8 @@ a few flops, as the objective of a Newton minimization on the sphere with
 closed-form derivatives, from the pole (0, 0, 1) and from the best
 eigenvector of T^T T, T the correlation tensor. A start that stops on a
 saddle point, as an X state's pole can be, escapes along the Hessian's
-negative curvature. Only projective pairs are searched, but on a rank <= 2
-state the axis start runs first, and a minimum within CERTIFY_TOL of the
+negative curvature. The axis start runs first. Only projective pairs are
+searched, but on a rank <= 2 state a minimum within CERTIFY_TOL of the
 Koashi-Winter floor, the POVM minimum, is certified and skips the pole start.
 J and D read the two qubit entropies off the form, other entropies the
 spectrum a DensityMatrix kept, and concurrence its kept eigenvectors through
@@ -75,8 +75,8 @@ RADIUS_CAP = 1.0 - 1e-15
 SPREAD_FLOOR = 1e-12
 _LN2 = math.log(2.0)
 
-# a state whose two lowest eigenvalues sum to at most RANK2_MASS counts as
-# rank <= 2; a minimum within CERTIFY_TOL of its Koashi-Winter floor is optimal
+# a state whose two lowest eigenvalues sum to at most RANK2_MASS in magnitude
+# counts as rank <= 2; a minimum within CERTIFY_TOL of its Koashi-Winter floor is optimal
 RANK2_MASS = 1e-12
 CERTIFY_TOL = 1e-12
 
@@ -202,13 +202,13 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int, floor=None) ->
     that is not positive definite is shifted until it is, and steps are
     retracted by normalizing. Where the shifted step predicts no decrease but
     the Hessian curves down, as at a saddle point, the start escapes along
-    that curvature. Given a floor no value can go below, the alternative runs
-    first and no start runs once the best value is within CERTIFY_TOL of it.
+    that curvature. The alternative runs first; given a floor no value can go
+    below, no start runs once the best value is within CERTIFY_TOL of it.
     nfev counts calls of both functions, nit Newton iterations, and success
     is whether every start that ran stopped within maxiter."""
     starts = [(fun(x0), x0)] + sorted((fun(x), x) for x in alternatives)[:1]
     nfev, nit, success, ends = 1 + len(alternatives), 0, True, list(starts)
-    for i in (range(len(starts)) if floor is None else reversed(range(len(starts)))):
+    for i in reversed(range(len(starts))):
         f, n = starts[i]
         for _ in range(maxiter):
             e1 = _unit((n[1], -n[0], 0.0) if abs(n[2]) < 0.5 else (0.0, n[2], -n[1]))
@@ -251,7 +251,7 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int, floor=None) ->
 def _min_conditional_entropy(form: tuple, floor=None) -> tuple[float, BlochAngles, int]:
     """Newton from the pole (0, 0, 1) and from the best of the state's own
     axes, the eigenvectors of T^T T, for the Bloch form of one measured side;
-    with a floor (_kw_floor), the axis runs first and may certify alone."""
+    with a floor (_kw_floor), the axis start, which runs first, may certify alone."""
     t = np.array(form)[1:, 1:]
     res = minimize(lambda x: _pair_entropy(form, *x), (0.0, 0.0, 1.0),
                    alternatives=[_unit(x) for x in np.linalg.eigh(t.T @ t)[1].T.tolist()],
@@ -287,14 +287,13 @@ def _kw_floor(rho: DensityMatrix, measured: int):
     kept eigenpairs, as a 4x2 W with rows (u, P) and columns M, is an ensemble
     of rho_uP, so C = s1 - s2 over tau = W^T (Y x Y) W, and
     C^2 = |tau|_F^2 - 2 |det tau|."""
-    if rho.spectrum[0] + rho.spectrum[1] > RANK2_MASS:
+    if abs(rho.spectrum[0]) + abs(rho.spectrum[1]) > RANK2_MASS:
         return None
     w = (rho.eigenvectors[:, 2:] * np.sqrt(np.clip(rho.spectrum[2:], 0.0, None))).reshape(2, 2, 2)
     w = w.transpose((1, 2, 0) if measured == 0 else (0, 2, 1)).reshape(4, 2)
     (a, b), (c, d) = (w.T @ _YY @ w).tolist()
     c2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 - 2.0 * abs(a * d - b * c)
-    x = 0.5 + 0.5 * math.sqrt(max(1.0 - c2, 0.0))
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x)) if x < 1.0 else 0.0
+    return float(_binary_h_vec(np.array([0.5 + 0.5 * math.sqrt(max(1.0 - c2, 0.0))]))[0])
 
 
 def _minimize_side(rho: DensityMatrix, measured: int) -> tuple:

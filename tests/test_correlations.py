@@ -752,9 +752,17 @@ def test_kw_floor_is_the_purification_eof_and_bounds_every_minimum(monkeypatch):
         assert floor - 1e-12 <= best <= floor + CERTIFY_TOL
 
 
+def slightly_negative_pair() -> DensityMatrix:
+    """A state whose lowest eigenvalue, -9e-11, is inside the PSD tolerance:
+    its two lowest eigenvalues sum to 5e-13, their magnitudes to 1.8e-10."""
+    v = random_unitary(np.random.default_rng(3), 4)
+    return DensityMatrix((v * [-9e-11, 9.05e-11, 0.3, 0.7 - 5e-13]) @ v.conj().T, (2, 2))
+
+
 def test_states_above_rank_two_get_no_floor_and_both_starts(monkeypatch):
-    # full-rank states, and near_floor_pair, whose two lowest eigenvalues
-    # sum to 1.5e-12, just above RANK2_MASS
+    # full-rank states, near_floor_pair, whose two lowest eigenvalues sum to
+    # 1.5e-12, just above RANK2_MASS, and a state whose two lowest eigenvalues
+    # cancel in sum but discard 1.8e-10 in magnitude
     calls = []
     real_minimize = qcorr.correlations.minimize
 
@@ -766,7 +774,9 @@ def test_states_above_rank_two_get_no_floor_and_both_starts(monkeypatch):
     states = [rho for rho in adversarial_pairs(808, 5) if rho.spectrum[0] > RANK2_MASS]
     assert len(states) >= 15
     assert RANK2_MASS < sum(near_floor_pair().spectrum[:2]) <= 2 * RANK2_MASS
-    for rho in states + [near_floor_pair()]:
+    negative = slightly_negative_pair()
+    assert negative.spectrum[0] < 0.0 and sum(negative.spectrum[:2]) <= RANK2_MASS
+    for rho in states + [near_floor_pair(), negative]:
         for measured in (0, 1):
             assert _kw_floor(rho, measured) is None
             found = _minimize_side(rho, measured)[3:]
@@ -786,6 +796,20 @@ def test_an_unreachable_floor_gives_the_result_without_one(monkeypatch):
     unreachable = [_minimize_side(DensityMatrix(rho.mat, (2, 2)), m)[3:]
                    for rho in pairs for m in (0, 1)]
     assert unreachable == plain
+
+
+def test_near_ties_above_the_floor_run_both_starts():
+    # rank-2 near-tie X states whose projective minimum ends 2.2e-12 to
+    # 2.8e-11 above the floor: none may certify, so each must equal the
+    # minimization without a floor, evaluations included, bit for bit
+    cases = [(near_tie_pairs()[72][0], m) for m in (0, 1)]
+    cases += [(adversarial_pairs(4, 20)[127], m) for m in (0, 1)]
+    cases += [(adversarial_pairs(14, 20)[121], 0)]
+    for rho, measured in cases:
+        floor = _kw_floor(rho, measured)
+        plain = _min_conditional_entropy(_bloch_form(rho.mat, measured))
+        assert floor is not None and plain[0] > floor + CERTIFY_TOL
+        assert _minimize_side(DensityMatrix(rho.mat, (2, 2)), measured)[3:] == plain
 
 
 def test_with_a_floor_the_objective_is_first_called_at_the_pole(monkeypatch, entangled_pair):
