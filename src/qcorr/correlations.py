@@ -76,7 +76,8 @@ SPREAD_FLOOR = 1e-12
 _LN2 = math.log(2.0)
 
 # a state whose two lowest eigenvalues sum to at most RANK2_MASS in magnitude
-# counts as rank <= 2; a minimum within CERTIFY_TOL of its Koashi-Winter floor is optimal
+# counts as rank <= 2; a minimum within CERTIFY_TOL of its Koashi-Winter floor
+# is optimal
 RANK2_MASS = 1e-12
 CERTIFY_TOL = 1e-12
 
@@ -293,7 +294,9 @@ def _kw_floor(rho: DensityMatrix, measured: int):
     w = w.transpose((1, 2, 0) if measured == 0 else (0, 2, 1)).reshape(4, 2)
     (a, b), (c, d) = (w.T @ _YY @ w).tolist()
     c2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 - 2.0 * abs(a * d - b * c)
-    return float(_binary_h_vec(np.array([0.5 + 0.5 * math.sqrt(max(1.0 - c2, 0.0))]))[0])
+    x = 0.5 + 0.5 * math.sqrt(max(1.0 - c2, 0.0))
+    # plain floats: _binary_h_vec's numpy round trip costs ~80x more per scalar
+    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x)) if x < 1.0 else 0.0
 
 
 def _minimize_side(rho: DensityMatrix, measured: int) -> tuple:
