@@ -164,15 +164,24 @@ def _tangent_derivatives(form: tuple, n, e1, e2) -> tuple:
     g(x) = h((1 + x) / 2): f = 1/2 sum_s a g(r), grad f = 1/2 sum_s s [(g - r g') m
     + g' w], hess f = 1/2 sum_s [g''/a (w - r m)(w - r m)^T + g'/|v| T^T (I - v^ v^T) T],
     and the sphere's Hessian is P (hess f) P - (n.grad f) P, with P = I - n n^T."""
-    (r00, m0, m1, m2), *rows = form
-    tn, t1, t2 = ([t[1] * x[0] + t[2] * x[1] + t[3] * x[2] for t in rows] for x in (n, e1, e2))
-    mn, me1, me2 = (m0 * x[0] + m1 * x[1] + m2 * x[2] for x in (n, e1, e2))
+    (r00, m0, m1, m2), (u0, t00, t01, t02), (u1, t10, t11, t12), (u2, t20, t21, t22) = form
+    (n0, n1, n2), (a0, a1, a2), (b0, b1, b2) = n, e1, e2
+    tnx, tny, tnz = (t00 * n0 + t01 * n1 + t02 * n2, t10 * n0 + t11 * n1 + t12 * n2,
+                     t20 * n0 + t21 * n1 + t22 * n2)
+    t1x, t1y, t1z = (t00 * a0 + t01 * a1 + t02 * a2, t10 * a0 + t11 * a1 + t12 * a2,
+                     t20 * a0 + t21 * a1 + t22 * a2)
+    t2x, t2y, t2z = (t00 * b0 + t01 * b1 + t02 * b2, t10 * b0 + t11 * b1 + t12 * b2,
+                     t20 * b0 + t21 * b1 + t22 * b2)
+    mn, me1 = m0 * n0 + m1 * n1 + m2 * n2, m0 * a0 + m1 * a1 + m2 * a2
+    me2 = m0 * b0 + m1 * b1 + m2 * b2
+    gram11, gram12 = t1x * t1x + t1y * t1y + t1z * t1z, t1x * t2x + t1y * t2y + t1z * t2z
+    gram22 = t2x * t2x + t2y * t2y + t2z * t2z  # T e1, T e2 Gram sums, shared by both outcomes
     gn = g1 = g2 = h11 = h12 = h22 = 0.0
     for s in (1.0, -1.0):
         a = r00 + s * mn
         if a <= 2.0 * PROB_FLOOR:  # the kernel counts this outcome as 0
             continue
-        v0, v1, v2 = rows[0][0] + s * tn[0], rows[1][0] + s * tn[1], rows[2][0] + s * tn[2]
+        v0, v1, v2 = u0 + s * tnx, u1 + s * tny, u2 + s * tnz
         spread = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
         r = min(spread / a, RADIUS_CAP)
         lam = 0.5 + 0.5 * r
@@ -181,15 +190,16 @@ def _tangent_derivatives(form: tuple, n, e1, e2) -> tuple:
         if spread < SPREAD_FLOOR:  # g'/|v| -> -1/(a ln 2); v's direction drops out
             k, wn, w1, w2 = -1.0 / (a * _LN2), 0.0, 0.0, 0.0
         else:
-            k = dg / spread
-            wn, w1, w2 = ((v0 * t[0] + v1 * t[1] + v2 * t[2]) / spread for t in (tn, t1, t2))
+            k, wn = dg / spread, (v0 * tnx + v1 * tny + v2 * tnz) / spread
+            w1 = (v0 * t1x + v1 * t1y + v2 * t1z) / spread
+            w2 = (v0 * t2x + v1 * t2y + v2 * t2z) / spread
         c, q1, q2 = g - r * dg, w1 - r * me1, w2 - r * me2
         gn += s * (c * mn + dg * wn)
         g1 += s * (c * me1 + dg * w1)
         g2 += s * (c * me2 + dg * w2)
-        h11 += ca * q1 * q1 + k * (t1[0] * t1[0] + t1[1] * t1[1] + t1[2] * t1[2] - w1 * w1)
-        h12 += ca * q1 * q2 + k * (t1[0] * t2[0] + t1[1] * t2[1] + t1[2] * t2[2] - w1 * w2)
-        h22 += ca * q2 * q2 + k * (t2[0] * t2[0] + t2[1] * t2[1] + t2[2] * t2[2] - w2 * w2)
+        h11 += ca * q1 * q1 + k * (gram11 - w1 * w1)
+        h12 += ca * q1 * q2 + k * (gram12 - w1 * w2)
+        h22 += ca * q2 * q2 + k * (gram22 - w2 * w2)
     return 0.5 * g1, 0.5 * g2, 0.5 * (h11 - gn), 0.5 * h12, 0.5 * (h22 - gn)
 
 
@@ -231,8 +241,13 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int, floor=None) ->
                 a = 0.5 * math.atan2(h12, 0.5 * (h11 - h22))  # the greater eigenvalue's axis
                 d1, d2, signs = -ESCAPE_STEP * math.sin(a), ESCAPE_STEP * math.cos(a), (1.0, -1.0)
             for _ in range(LINE_HALVINGS):
-                fx, x = min((fun(y), y) for y in [
-                    _unit([n[k] + s * (d1 * e1[k] + d2 * e2[k]) for k in range(3)]) for s in signs])
+                if len(signs) == 1:  # 1.0 * x is exact: the point is the two-sign form's
+                    x = _unit((n[0] + (d1 * e1[0] + d2 * e2[0]), n[1] + (d1 * e1[1] + d2 * e2[1]),
+                               n[2] + (d1 * e1[2] + d2 * e2[2])))
+                    fx = fun(x)
+                else:
+                    fx, x = min((fun(y), y) for y in [_unit(
+                        [n[k] + s * (d1 * e1[k] + d2 * e2[k]) for k in range(3)]) for s in signs])
                 nfev += len(signs)
                 if fx < f:
                     break
