@@ -62,40 +62,58 @@ _PAULI = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
           np.diag([1.0, -1.0]))
 
 
-def _grid_minimum(mat: np.ndarray, measured: int, n: int) -> tuple:
-    """(value, node): the lowest conditional entropy of a two-qubit state
-    over projective pairs on the measured qubit along n x 2n hemisphere
-    nodes, theta in [0, pi/2) by phi in [0, 2 pi).
+# states are taken in chunks sized so that no array holds more than this many values
+GRID_CHUNK = 1 << 18
+
+
+def _grid_minima(mats, measured, n: int) -> list[tuple]:
+    """[(value, node), ...]: for each two-qubit state of the stack mats, with
+    measured[i] its measured qubit, the lowest conditional entropy over
+    projective pairs along n x 2n hemisphere nodes, theta in [0, pi/2) by phi
+    in [0, 2 pi), taken theta-major; a tie goes to the first such node.
 
     A numpy copy of the Bloch-form formula, written apart from the package's
     kernel: with r_ij = Tr[rho sigma_i x sigma_j], i on the unmeasured qubit,
     the outcome s = +-1 along n has weight p = (1 + s m.n) / 2, m_j = r_0j,
     and leaves the unmeasured qubit with Bloch vector (u + s T n) / (2 p),
     u_i = r_i0 and T_ij = r_ij for i, j >= 1."""
-    r = np.array([[np.trace(mat @ np.kron(a, b)).real for b in _PAULI] for a in _PAULI])
-    r = r.T if measured == 0 else r
+    paulis = np.stack([np.kron(a, b) for a in _PAULI for b in _PAULI])
+    r = np.einsum('kij,sji->sk', paulis, np.asarray(mats)).real.reshape(-1, 4, 4)
+    r = np.where((np.asarray(measured) == 0)[:, None, None], r.transpose(0, 2, 1), r)
     theta = (math.pi / 2) * np.arange(n)[:, None] / n
     phi = (2 * math.pi) * np.arange(2 * n)[None, :] / (2 * n)
     nodes = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
-                      np.cos(theta) + 0.0 * phi])
-    total = np.zeros(nodes.shape[1:])
-    for s in (1.0, -1.0):
-        p = 0.5 * (r[0, 0] + s * np.tensordot(r[0, 1:], nodes, 1))
-        v = r[1:, 0, None, None] + s * np.tensordot(r[1:, 1:], nodes, 1)
-        live = p > 1e-12
-        lam = np.clip(0.5 + 0.25 * np.sqrt((v * v).sum(axis=0)) / np.where(live, p, 1.0),
-                      0.5, 1.0)
-        q = 1.0 - lam
-        h = -(lam * np.log2(lam) + np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0))
-        total += np.where(live, p * h, 0.0)
-    k = np.unravel_index(int(np.argmin(total)), total.shape)
-    return float(total[k]), tuple(float(c) for c in nodes[(slice(None),) + k])
+                      np.cos(theta) + 0.0 * phi]).reshape(3, -1)
+    found = []
+    step = max(1, GRID_CHUNK // (3 * nodes.shape[1]))
+    for lo in range(0, len(r), step):
+        c = r[lo:lo + step]
+        total = np.zeros((len(c), nodes.shape[1]))
+        for s in (1.0, -1.0):
+            p = 0.5 * (c[:, 0, 0, None] + s * (c[:, 0, 1:] @ nodes))
+            v = c[:, 1:, 0, None] + s * (c[:, 1:, 1:] @ nodes)
+            live = p > 1e-12
+            lam = np.clip(0.5 + 0.25 * np.sqrt((v * v).sum(axis=1)) / np.where(live, p, 1.0),
+                          0.5, 1.0)
+            q = 1.0 - lam
+            h = -(lam * np.log2(lam)
+                  + np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0))
+            total += np.where(live, p * h, 0.0)
+        best = np.argmin(total, axis=1)
+        found += [(float(t[k]), tuple(float(x) for x in nodes[:, k])) for t, k in zip(total, best)]
+    return found
 
 
 @pytest.fixture(scope="session")
 def grid_minimum():
-    """The test-side grid: a function (mat, measured, n) -> (value, node)."""
-    return _grid_minimum
+    """The test-side grid on one state: a function (mat, measured, n) -> (value, node)."""
+    return lambda mat, measured, n: _grid_minima([mat], [measured], n)[0]
+
+
+@pytest.fixture(scope="session")
+def grid_minima():
+    """The test-side grid on a stack of states: _grid_minima."""
+    return _grid_minima
 
 
 @pytest.fixture

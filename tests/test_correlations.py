@@ -175,15 +175,19 @@ def unrotated_near_tie_pairs() -> list[tuple[DensityMatrix, int]]:
     return near_tie_pairs(5, rotated=False)
 
 
-def reference_minimum(mat: np.ndarray, measured: int, grid_minimum) -> float:
-    """The test-side 64 x 128 grid's lowest node, refined by Newton from it
-    alone: a minimum that owes nothing to the package's own starts."""
-    form = _bloch_form(mat, measured)
-    value, node = grid_minimum(mat, measured, 64)
-    res = minimize(lambda x: _pair_entropy(form, *x), node, alternatives=[],
-                   derivatives=lambda *a: _tangent_derivatives(form, *a),
-                   maxiter=qcorr.correlations.NEWTON_MAXITER)
-    return min(value, res.fun)
+def reference_minima(cases, grid_minima) -> list[float]:
+    """For each (state, measured), the test-side 64 x 128 grid's lowest node,
+    refined by Newton from it alone: a minimum that owes nothing to the
+    package's own starts. The grid takes all the states in one call."""
+    nodes = grid_minima([rho.mat for rho, _ in cases], [m for _, m in cases], 64)
+    found = []
+    for (rho, measured), (value, node) in zip(cases, nodes):
+        form = _bloch_form(rho.mat, measured)
+        res = minimize(lambda x: _pair_entropy(form, *x), node, alternatives=[],
+                       derivatives=lambda *a: _tangent_derivatives(form, *a),
+                       maxiter=qcorr.correlations.NEWTON_MAXITER)
+        found.append(min(value, res.fun))
+    return found
 
 
 def recording_minimize(monkeypatch) -> list:
@@ -556,29 +560,30 @@ def test_kw_audit_decomposes_each_state_once(monkeypatch):
 
 
 def test_optimizer_agrees_with_refined_fine_grid_on_adversarial_states(monkeypatch,
-                                                                         grid_minimum):
+                                                                         grid_minima):
     # the unrotated near-tie family holds X states whose pole is a saddle point
-    calls = recording_minimize(monkeypatch)
     cases = ([(rho, m) for rho in adversarial_pairs(808, 20) for m in (0, 1)]
              + near_tie_pairs() + unrotated_near_tie_pairs())
-    worst = max(_min_conditional_entropy(_bloch_form(rho.mat, measured))[0]
-                - reference_minimum(rho.mat, measured, grid_minimum) for rho, measured in cases)
+    references = reference_minima(cases, grid_minima)
+    calls = recording_minimize(monkeypatch)
+    worst = max(_min_conditional_entropy(_bloch_form(rho.mat, measured))[0] - ref
+                for (rho, measured), ref in zip(cases, references))
     assert worst <= 1e-9
     assert len(calls) == len(cases)
     assert [result for result in calls if not result.success] == []
 
 
-def test_newton_escapes_a_saddle_at_the_pole(grid_minimum):
+def test_newton_escapes_a_saddle_at_the_pole(grid_minima):
     # without the escape Newton stops on any such pole: the gradient vanishes
     # by symmetry, so the shifted Newton step is zero
     pole, e1, e2 = (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)
     escaped = 0
-    for rho, measured in unrotated_near_tie_pairs()[:300]:
+    cases = unrotated_near_tie_pairs()[:300]
+    for (rho, measured), ref in zip(cases, reference_minima(cases, grid_minima)):
         form = _bloch_form(rho.mat, measured)
         g1, g2, h11, h12, h22 = _tangent_derivatives(form, pole, e1, e2)
         assert max(abs(g1), abs(g2)) <= 1e-12
         below = h11 * h22 - h12 * h12 < 0.0 or h11 + h22 < 0.0
-        ref = reference_minimum(rho.mat, measured, grid_minimum)
         if not (below and ref < _pair_entropy(form, *pole) - 1e-9):
             continue
         res = minimize(lambda x: _pair_entropy(form, *x), pole, alternatives=[],
