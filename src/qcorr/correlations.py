@@ -65,8 +65,8 @@ NEWTON_STOP = 1e-15
 LINE_HALVINGS = 30
 STEP_CAP = 0.5
 # a start that would stop where the unshifted Hessian has an eigenvalue below
-# -ESCAPE_CURVATURE steps ESCAPE_STEP along +- its eigenvector instead, halved
-# like a Newton step until the lower side lowers f, and goes on from there
+# -ESCAPE_CURVATURE steps ESCAPE_STEP along its eigenvector instead, halved
+# like a Newton step until f falls, and goes on from there
 ESCAPE_CURVATURE = 1e-9
 ESCAPE_STEP = 0.05
 # g' and g'' diverge as r = |v| / a -> 1, so r is capped at RADIUS_CAP; below
@@ -131,11 +131,11 @@ def _effect_entropy(form: tuple, n0: float, n1: float, n2: float, weight: float)
 
     The unmeasured qubit is left with weight p = weight (Tr rho + m.n) and
     eigenvalues (p +- weight |u + T n|) / 2, where m and u are the measured
-    and unmeasured Bloch vectors; outcomes with p <= PROB_FLOOR count 0.
+    and unmeasured Bloch vectors; an outcome with p <= 0 adds 0.
     """
     (r00, m0, m1, m2), (u0, t00, t01, t02), (u1, t10, t11, t12), (u2, t20, t21, t22) = form
     p = weight * (r00 + m0 * n0 + m1 * n1 + m2 * n2)
-    if not p > PROB_FLOOR:
+    if not p > 0.0:
         return 0.0
     v0 = u0 + t00 * n0 + t01 * n1 + t02 * n2
     v1 = u1 + t10 * n0 + t11 * n1 + t12 * n2
@@ -179,7 +179,7 @@ def _tangent_derivatives(form: tuple, n, e1, e2) -> tuple:
     gn = g1 = g2 = h11 = h12 = h22 = 0.0
     for s in (1.0, -1.0):
         a = r00 + s * mn
-        if a <= 2.0 * PROB_FLOOR:  # the kernel counts this outcome as 0
+        if a <= 0.0:  # an outcome that cannot occur adds nothing
             continue
         v0, v1, v2 = u0 + s * tnx, u1 + s * tny, u2 + s * tnz
         spread = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
@@ -212,11 +212,11 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int, floor=None) ->
     orthonormal basis e1, e2, as _tangent_derivatives gives them. A Hessian
     that is not positive definite is shifted until it is, and steps are
     retracted by normalizing. Where the shifted step predicts no decrease but
-    the Hessian curves down, as at a saddle point, the start escapes along
-    that curvature. The alternative runs first; given a floor no value can go
-    below, no start runs once the best value is within CERTIFY_TOL of it.
-    nfev counts calls of both functions, nit Newton iterations, and success
-    is whether every start that ran stopped within maxiter."""
+    the Hessian curves down, as at a saddle point, the step goes along its
+    downward eigenvector instead. The alternative runs first; given a floor no
+    value can go below, no start runs once the best value is within CERTIFY_TOL
+    of it. nfev counts calls of both functions, nit Newton iterations, and
+    success is whether every start that ran stopped within maxiter."""
     starts = [(fun(x0), x0)] + sorted((fun(x), x) for x in alternatives)[:1]
     nfev, nit, success, ends = 1 + len(alternatives), 0, True, list(starts)
     for i in reversed(range(len(starts))):
@@ -234,21 +234,15 @@ def minimize(fun, x0, *, alternatives, derivatives, maxiter: int, floor=None) ->
                 else (-g1, -g2)
             scale = min(1.0, STEP_CAP / (math.hypot(d1, d2) or 1.0))
             nfev, nit, d1, d2 = nfev + 1, nit + 1, scale * d1, scale * d2
-            signs = (1.0,)
             if -(g1 * d1 + g2 * d2) <= NEWTON_STOP * max(1.0, abs(f)):
                 if mid - rad >= -ESCAPE_CURVATURE:
                     break
                 a = 0.5 * math.atan2(h12, 0.5 * (h11 - h22))  # the greater eigenvalue's axis
-                d1, d2, signs = -ESCAPE_STEP * math.sin(a), ESCAPE_STEP * math.cos(a), (1.0, -1.0)
+                d1, d2 = -ESCAPE_STEP * math.sin(a), ESCAPE_STEP * math.cos(a)
             for _ in range(LINE_HALVINGS):
-                if len(signs) == 1:  # 1.0 * x is exact: the point is the two-sign form's
-                    x = _unit((n[0] + (d1 * e1[0] + d2 * e2[0]), n[1] + (d1 * e1[1] + d2 * e2[1]),
-                               n[2] + (d1 * e1[2] + d2 * e2[2])))
-                    fx = fun(x)
-                else:
-                    fx, x = min((fun(y), y) for y in [_unit(
-                        [n[k] + s * (d1 * e1[k] + d2 * e2[k]) for k in range(3)]) for s in signs])
-                nfev += len(signs)
+                x = _unit((n[0] + (d1 * e1[0] + d2 * e2[0]), n[1] + (d1 * e1[1] + d2 * e2[1]),
+                           n[2] + (d1 * e1[2] + d2 * e2[2])))
+                fx, nfev = fun(x), nfev + 1
                 if fx < f:
                     break
                 d1, d2 = 0.5 * d1, 0.5 * d2

@@ -27,6 +27,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # outcomes below this probability are flagged and skipped in entropy sums
 PROB_FLOOR = 1e-12
+# a filter that leaves a norm or trace below this has annihilated the state
+ANNIHILATION_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -133,13 +135,15 @@ def _transform(state, m: np.ndarray):
     if isinstance(state, PureState):
         vec = m @ state.amplitudes
         n = np.linalg.norm(vec)
-        if n < 1e-12:
-            raise StateAnnihilatedError("filter annihilated the state (norm < 1e-12)")
+        if n < ANNIHILATION_FLOOR:
+            raise StateAnnihilatedError(
+                f"filter annihilated the state (norm < {ANNIHILATION_FLOOR:g})")
         return PureState(vec / n, state.dims)
     mat = m @ state.mat @ m.conj().T
     tr = float(np.real(mat.trace()))
-    if tr < 1e-12:
-        raise StateAnnihilatedError("filter annihilated the state (trace < 1e-12)")
+    if tr < ANNIHILATION_FLOOR:
+        raise StateAnnihilatedError(
+            f"filter annihilated the state (trace < {ANNIHILATION_FLOOR:g})")
     mat = mat / tr
     return DensityMatrix(0.5 * (mat + mat.conj().T), state.dims)
 

@@ -1,13 +1,12 @@
-"""No function body in the modules that compare or print acceptance bounds
-writes a bound out as a literal: each lives in one named constant, and
-every detail string is formatted from it."""
+"""No function body in the package writes a bound or tolerance out as a
+literal: each lives in one named constant, and every detail string is
+formatted from it."""
 import ast
 import re
 from pathlib import Path
 
 import qcorr
 
-SOURCES = ("scenario.py", "cli.py", "report.py")
 BOUND_TEXT = re.compile(r"\de-\d")
 
 
@@ -30,9 +29,10 @@ def bound_literals(source: str) -> list:
 
 
 def test_no_bound_literals_in_function_bodies():
-    root = Path(qcorr.__file__).parent
-    for name in SOURCES:
-        assert bound_literals((root / name).read_text(encoding="utf-8")) == [], name
+    sources = sorted(Path(qcorr.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        assert bound_literals(path.read_text(encoding="utf-8")) == [], path.name
 
 
 def test_bound_literals_finds_what_it_should():

@@ -52,7 +52,7 @@ def assert_above_floor(mat: np.ndarray, angles):
         assert floor is not None
         best = _minimize_side(rho, measured)[3]
         both_starts = _min_conditional_entropy(_bloch_form(rho.mat, measured))[0]
-        assert min(best, both_starts) >= floor - 1e-12
+        assert min(best, both_starts) >= floor - 1e-13
 
 
 @PROPERTY
@@ -130,12 +130,12 @@ def adversarial_state(kind: str, rng, log_weight: float) -> np.ndarray:
 KINDS = ("x", "near_degenerate", "rank2", "rank4", "product", "near_floor", "near_tie")
 # measured over 4,000 draws per kind: S, C, J and D of a locally rotated state
 # moved by at most 4.2e-14 (near_floor), so INVARIANCE_TOL leaves a margin of
-# about 24; a single Newton start moves near-tie minima by up to 3e-3. On
-# near_floor states D fell to -1.0e-12 and J rose 1.3e-14 above S(unmeasured):
-# the kernel counts an outcome of probability at most PROB_FLOOR (1e-12) as 0
-# bits, which lowers a minimum by at most that. BOUND_TOL is twice PROB_FLOOR.
+# about 24; a single Newton start moves near-tie minima by up to 3e-3. The
+# kernel prices every outcome of positive probability, so D and J miss their
+# entropy bounds by rounding only: over 4,000 near_floor draws D fell to
+# -3.7e-14 and J stayed 8.9e-15 below S(unmeasured), a margin of about 2.7.
 INVARIANCE_TOL = 1e-12
-BOUND_TOL = 2e-12
+BOUND_TOL = 1e-13
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=250)

@@ -151,8 +151,10 @@ def test_apply_filter_identity_is_noop():
 
 def test_apply_filter_annihilation():
     psi = PureState(np.array([1.0, 0.0], dtype=complex), (2,))
-    with pytest.raises(StateAnnihilatedError):
-        apply_filter(psi, np.diag([0.0, 1.0]), 0)
+    for state, size in ((psi, "norm"), (density_from_pure(psi), "trace")):
+        with pytest.raises(StateAnnihilatedError) as caught:
+            apply_filter(state, np.diag([0.0, 1.0]), 0)
+        assert str(caught.value) == f"filter annihilated the state ({size} < 1e-12)"
 
 
 def test_apply_filter_density_route(pair_pre):
