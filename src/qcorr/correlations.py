@@ -1,6 +1,7 @@
 """One-way classical correlations, quantum discord, concurrence and
 entanglement of formation for two-qubit states, and the residual of the
-entropy bookkeeping identity on pure three-qubit states.
+Koashi-Winter identity on pure three-qubit states, from one split of each
+into single-qubit entropies and pair marginals that the scenario shares.
 
 J and D of a (state, measured qubit) share one Bloch form and one
 conditional-entropy minimization, memoized on the DensityMatrix object per
@@ -309,9 +310,9 @@ def _kw_floor(rho: DensityMatrix, measured: int):
 
 
 def _minimize_side(rho: DensityMatrix, measured: int) -> tuple:
-    """(direction, Bloch form, S(unmeasured), min conditional entropy, angles,
-    evals); all but the direction are computed once per (rho object,
-    measured) and then read from rho's memo."""
+    """(direction, *rho._minima[measured]), the memo holding (Bloch form,
+    S(unmeasured), min conditional entropy, angles, evals), computed once per
+    (rho object, measured)."""
     _require_two_qubits(rho)
     direction = _direction_name(measured)
     found = rho._minima.get(measured)
@@ -406,7 +407,8 @@ def eof_two_qubits(rho: DensityMatrix) -> float:
 
 
 def koashi_winter_residual(psi: PureState, a: int, b: int, c: int) -> float:
-    """S(rho_a) - E_F(rho_ab) - J(rho_ac, measuring c).
+    """S(rho_a) - E_F(rho_ab) - J(rho_ac, measuring c), from the split that
+    kw_audit and the scenario share, with J minimized for this labeling only.
 
     Exactly zero for pure three-qubit states when J is maximized over all
     POVMs. A projective-only J can only fall short of that, which can only
@@ -418,15 +420,23 @@ def koashi_winter_residual(psi: PureState, a: int, b: int, c: int) -> float:
         raise DimMismatchError(f"three-qubit pure state required, got dims {psi.dims}")
     if sorted((a, b, c)) != [0, 1, 2]:
         raise BadPermutationError(f"indices ({a}, {b}, {c}) are not a permutation of 0, 1, 2")
-    rho = density_from_pure(psi)
-    return _kw_residual(rho, {k: partial_trace(rho, [k]) for k in (b, c)}, a, b, c)
+    return _kw_residual(_triple_terms(density_from_pure(psi)), a, b, c)
 
 
-def _kw_residual(rho: DensityMatrix, pairs, a: int, b: int, c: int) -> float:
-    """The residual, where pairs[k] is rho with qubit k traced out."""
-    s_a = von_neumann_entropy(partial_trace(rho, [b, c]))  # not via a pair: last bit may differ
-    j_ac = classical_correlation(pairs[b], int(a < c))  # traces keep factor order
-    return s_a - eof_two_qubits(pairs[c]) - j_ac.value
+def _triple_terms(rho: DensityMatrix) -> tuple[list, list, list]:
+    """Split a three-qubit rho once: S of each single qubit, the pair
+    marginals, pairs[k] being rho with qubit k traced out in factor order,
+    and their E_F."""
+    singles = [von_neumann_entropy(partial_trace(rho, {0, 1, 2} - {k})) for k in range(3)]
+    pairs = [partial_trace(rho, [k]) for k in range(3)]
+    return singles, pairs, [eof_two_qubits(pair) for pair in pairs]
+
+
+def _kw_residual(terms: tuple, a: int, b: int, c: int) -> float:
+    """S(a) - E_F(ab) - J(ac, measuring c) from _triple_terms' split: the
+    pair ac is pairs[b], and c is its second factor when a < c."""
+    singles, pairs, eofs = terms
+    return singles[a] - eofs[c] - classical_correlation(pairs[b], int(a < c)).value
 
 
 @dataclass(frozen=True)
@@ -443,16 +453,13 @@ class AuditSummary:
 
 def kw_audit(count: int, seed: int) -> AuditSummary:
     """Sample pure three-qubit states and collect the identity residual over
-    all three cyclic permutations of each, sharing its three pair marginals."""
+    all three cyclic permutations of each, from one _triple_terms split each."""
     _integer(count, "count", OutOfRangeError, low=1)
     _integer(seed, "seed", OutOfRangeError, low=0)
     rng = np.random.default_rng(seed)
-    residuals = []
-    for _ in range(count):
-        rho = density_from_pure(sample_pure_state((2, 2, 2), rng))
-        pairs = [partial_trace(rho, [k]) for k in range(3)]
-        residuals.extend(_kw_residual(rho, pairs, a, b, c) for a, b, c in _CYCLIC_PERMS)
-    arr = np.array(residuals)
+    triples = (_triple_terms(density_from_pure(sample_pure_state((2, 2, 2), rng)))
+               for _ in range(count))
+    arr = np.array([_kw_residual(terms, *perm) for terms in triples for perm in _CYCLIC_PERMS])
     ok = bool((arr >= RESIDUAL_LOW).all() and (arr <= RESIDUAL_HIGH).all())
     return AuditSummary(count, seed, float(arr.min()), float(arr.max()),
                         float(arr.mean()), ok)

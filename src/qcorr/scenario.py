@@ -15,18 +15,20 @@ from math import atanh, log, sqrt
 import numpy as np
 
 from .correlations import (
+    _CYCLIC_PERMS,
     RESIDUAL_HIGH,
     RESIDUAL_LOW,
+    _kw_residual,
+    _triple_terms,
     classical_correlation,
     concurrence,
     discord,
-    eof_two_qubits,
 )
-from .entropy import mutual_information, von_neumann_entropy
+from .entropy import von_neumann_entropy
 from .linalg import frobenius_distance, kron
 from .measurement import apply_filter, apply_global_operator
 from .report import CorrelationReport, _fmt_bound
-from .states import DensityMatrix, PureState, density_from_pure, partial_trace, purity
+from .states import PureState, density_from_pure, partial_trace, purity
 
 LABELS = ("A", "B", "C")
 PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -85,35 +87,23 @@ def reference_values() -> ReferenceValues:
 
 def build_report(psi: PureState, stage: str, *,
                  equivalence_distance: float | None = None) -> CorrelationReport:
-    """Compute the full measure table for a pure three-qubit state."""
+    """Compute the full measure table for a pure three-qubit state, from the
+    split into marginals that kw_audit shares."""
     rho = density_from_pure(psi)
-    marginals = {}
-    for i, name in enumerate(LABELS):
-        marginals[name] = von_neumann_entropy(
-            partial_trace(rho, [k for k in range(3) if k != i]))
-    pair_states: dict[str, DensityMatrix] = {}
-    bipartitions = {}
-    eofs = {}
-    j_vals = {}
-    d_vals = {}
+    terms = singles, pairs, pair_eofs = _triple_terms(rho)
+    marginals = dict(zip(LABELS, singles))
+    bipartitions, eofs, j_vals, d_vals = {}, {}, {}, {}
     for i, j in PAIRS:
-        name = LABELS[i] + LABELS[j]
-        pair = partial_trace(rho, [k for k in range(3) if k not in (i, j)])
-        pair_states[name] = pair
-        bipartitions[name] = von_neumann_entropy(pair)
-        eofs[name] = eof_two_qubits(pair)
+        name, k = LABELS[i] + LABELS[j], 3 - i - j  # pairs[k] has qubit k traced out
+        bipartitions[name] = von_neumann_entropy(pairs[k])
+        eofs[name] = pair_eofs[k]
         # factor order inside the pair follows (i, j), so measured=0 hits
         # LABELS[i] and measured=1 hits LABELS[j]; J and D share one
-        # minimization through the memo on `pair`
+        # minimization through the memo on the pair, as the residuals do
         for pos, measured_label in ((0, LABELS[i]), (1, LABELS[j])):
             key = f"{name}_measure{measured_label}"
-            j_vals[key] = classical_correlation(pair, pos).value
-            d_vals[key] = discord(pair, pos).value
-    kw = {
-        "ABC": marginals["A"] - eofs["AB"] - j_vals["AC_measureC"],
-        "BCA": marginals["B"] - eofs["BC"] - j_vals["AB_measureA"],
-        "CAB": marginals["C"] - eofs["AC"] - j_vals["BC_measureB"],
-    }
+            j_vals[key] = classical_correlation(pairs[k], pos).value
+            d_vals[key] = discord(pairs[k], pos).value
     return CorrelationReport(
         stage=stage,
         purity=purity(rho),
@@ -122,8 +112,9 @@ def build_report(psi: PureState, stage: str, *,
         pairwise_eof=eofs,
         pairwise_j=j_vals,
         pairwise_discord=d_vals,
-        mutual_information_ac=mutual_information(pair_states["AC"], [0]),
-        kw_residuals=kw,
+        mutual_information_ac=marginals["A"] + marginals["C"] - bipartitions["AC"],
+        kw_residuals={"".join(LABELS[x] for x in perm): _kw_residual(terms, *perm)
+                      for perm in _CYCLIC_PERMS},
         filter_equivalence_distance=equivalence_distance,
     )
 

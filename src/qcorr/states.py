@@ -59,7 +59,7 @@ class DensityMatrix:
     dims: tuple[int, ...] = field(default=())
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
-    # measured -> (Bloch form, S_u, best, angles, evals), filled by qcorr.correlations;
+    # measured -> the tuple that qcorr.correlations._minimize_side describes:
     # floats, BlochAngles and an int only, so no reference cycle through the state
     _minima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

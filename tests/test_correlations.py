@@ -56,7 +56,7 @@ from qcorr.exceptions import (
     DimMismatchError,
     OutOfRangeError,
 )
-from qcorr.scenario import filter_e, ghz3
+from qcorr.scenario import build_report, filter_e, ghz3
 from qcorr.states import sample_pure_state
 
 # a near-tie X state's sigma_z and best sigma_x/sigma_y conditional entropies
@@ -89,6 +89,15 @@ def random_unitary(rng, d: int) -> np.ndarray:
 def haar_unitary(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(real + 1j * imag)
     return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def x_state(rng) -> np.ndarray:
+    """A two-qubit X state: Dirichlet populations and coherences of random
+    phase within the positivity bounds."""
+    a, b, c, d = rng.dirichlet(np.ones(4))
+    w = rng.uniform() * math.sqrt(a * d) * np.exp(2j * math.pi * rng.uniform())
+    z = rng.uniform() * math.sqrt(b * c) * np.exp(2j * math.pi * rng.uniform())
+    return np.array([[a, 0, 0, w], [0, b, z, 0], [0, np.conj(z), c, 0], [np.conj(w), 0, 0, d]])
 
 
 def random_qubit(rng) -> np.ndarray:
@@ -133,12 +142,6 @@ def adversarial_pairs(seed: int, per_kind: int) -> list[DensityMatrix]:
     X states near a tie between their axes."""
     rng = np.random.default_rng(seed)
 
-    def x_state():
-        a, b, c, d = rng.dirichlet(np.ones(4))
-        w = rng.uniform() * math.sqrt(a * d) * np.exp(2j * math.pi * rng.uniform())
-        z = rng.uniform() * math.sqrt(b * c) * np.exp(2j * math.pi * rng.uniform())
-        return np.array([[a, 0, 0, w], [0, b, z, 0], [0, np.conj(z), c, 0], [np.conj(w), 0, 0, d]])
-
     def near_degenerate():
         u = random_unitary(rng, 4)
         return (u * (0.25 + 1e-7 * rng.normal(size=4))) @ u.conj().T
@@ -151,7 +154,7 @@ def adversarial_pairs(seed: int, per_kind: int) -> list[DensityMatrix]:
         u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
         return u @ np.diag([1.0 - delta, 0.0, delta / 2, delta / 2]) @ u.conj().T
 
-    kinds = (x_state, near_degenerate, lambda: traced(2), lambda: traced(4),
+    kinds = (lambda: x_state(rng), near_degenerate, lambda: traced(2), lambda: traced(4),
              lambda: kron(random_qubit(rng), random_qubit(rng)), near_floor,
              lambda: near_tie_x_state(rng)[0])
     return [density(kind()) for kind in kinds for _ in range(per_kind)]
@@ -554,9 +557,27 @@ def test_kw_audit_equals_residual_over_the_same_states(seed, cfg, optimizer_cons
 def test_kw_audit_decomposes_each_state_once(monkeypatch):
     counts = count_calls(monkeypatch, density_from_pure, partial_trace, minimize)
     kw_audit(1, 3)
-    # one rho, three pair marginals, and S(a) per labeling; J reads S(unmeasured)
-    # from the pair's Bloch form
+    # one rho, three single-qubit marginals and three pair marginals; J reads
+    # S(unmeasured) from the pair's Bloch form
     assert counts == {"density_from_pure": 1, "partial_trace": 6, "minimize": 3}
+
+
+def test_residual_minimizes_only_its_own_labeling(monkeypatch):
+    psi = sample_pure_state((2, 2, 2), np.random.default_rng(3))
+    counts = count_calls(monkeypatch, minimize)
+    for n, (a, b, c) in enumerate(((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)), start=1):
+        koashi_winter_residual(psi, a, b, c)
+        assert counts == {"minimize": n}
+
+
+def test_build_report_splits_the_state_once(monkeypatch):
+    counts = count_calls(monkeypatch, density_from_pure, partial_trace, mutual_information,
+                         minimize)
+    build_report(apply_filter(ghz3(), filter_e(), 2), "post")
+    # the three single-qubit and three pair marginals serve the table, the
+    # residuals and I_q(AC); one minimization per (pair, measured side)
+    assert counts == Counter(density_from_pure=1, partial_trace=6, mutual_information=0,
+                             minimize=6)
 
 
 def test_optimizer_agrees_with_refined_fine_grid_on_adversarial_states(monkeypatch,

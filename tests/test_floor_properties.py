@@ -32,6 +32,9 @@ from qcorr.correlations import (
 )
 from qcorr.measurement import SIGMA_X, SIGMA_Y, SIGMA_Z
 
+# one home for the draws both suites share
+from test_correlations import random_unitary, x_state
+
 
 def euler_unitary(a: float, b: float, c: float) -> np.ndarray:
     """Rz(a) Ry(b) Rz(c)."""
@@ -76,18 +79,6 @@ def test_no_minimum_below_the_floor_on_pure_pairs(log_weight, angles):
 
 # -- measures on adversarial states --------------------------------------------
 
-def haar_unitary(rng, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / abs(np.diag(r)))
-
-
-def x_state(rng) -> np.ndarray:
-    a, b, c, d = rng.dirichlet(np.ones(4))
-    w = rng.uniform() * math.sqrt(a * d) * np.exp(2j * math.pi * rng.uniform())
-    z = rng.uniform() * math.sqrt(b * c) * np.exp(2j * math.pi * rng.uniform())
-    return np.array([[a, 0, 0, w], [0, b, z, 0], [0, np.conj(z), c, 0], [np.conj(w), 0, 0, d]])
-
-
 def near_tie_x_state(rng) -> np.ndarray:
     """An X state on which, for a random measured side, sigma_z and the better
     of sigma_x, sigma_y give conditional entropies within 2e-3: its optimal
@@ -116,11 +107,11 @@ def adversarial_state(kind: str, rng, log_weight: float) -> np.ndarray:
     """X, near-degenerate, rank 2 and 4, product, near-floor (a weight of
     10**log_weight on each of two eigenvectors) and near-tie X states."""
     if kind == "near_degenerate":
-        u = haar_unitary(rng, 4)
+        u = random_unitary(rng, 4)
         return (u * (0.25 + 1e-7 * rng.normal(size=4))) @ u.conj().T
     if kind == "near_floor":
         w = 10.0 ** log_weight
-        u = kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+        u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
         return (u * np.array([1.0 - 2.0 * w, 0.0, w, w])) @ u.conj().T
     return {"x": x_state, "near_tie": near_tie_x_state, "rank2": lambda r: traced_pure(r, 2),
             "rank4": lambda r: traced_pure(r, 4),

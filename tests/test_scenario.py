@@ -14,6 +14,7 @@ from qcorr import (
     density_from_pure,
     discord,
     koashi_winter_residual,
+    mutual_information,
     partial_trace,
     run_scenario,
     von_neumann_entropy,
@@ -27,6 +28,7 @@ from qcorr.scenario import (
     operator_mab,
     reference_values,
 )
+from qcorr.states import sample_pure_state
 
 ROOT2 = math.sqrt(2.0)
 
@@ -110,8 +112,25 @@ def test_report_residuals_match_direct_calls(scenario_reports):
     perms = {"ABC": (0, 1, 2), "BCA": (1, 2, 0), "CAB": (2, 0, 1)}
     for psi, report in ((ghz3(), pre), (apply_filter(ghz3(), filter_e(), 2), post)):
         for key, (a, b, c) in perms.items():
-            direct = koashi_winter_residual(psi, a, b, c)
-            assert abs(report.kw_residuals[key] - direct) < 1e-12
+            # one route: the report and the direct call share _kw_residual
+            assert report.kw_residuals[key] == koashi_winter_residual(psi, a, b, c)
+
+
+def test_report_mutual_information_matches_the_traced_route(scenario_reports):
+    # the report takes I_q(AC) as S(A) + S(C) - S(AC) from its own split, where
+    # mutual_information traces the pair AC again; both routes agree to rounding
+    for psi, report in ((ghz3(), scenario_reports[0]),
+                        (apply_filter(ghz3(), filter_e(), 2), scenario_reports[1])):
+        pair_ac = partial_trace(density_from_pure(psi), [1])
+        assert report.mutual_information_ac == mutual_information(pair_ac, [0])
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for _ in range(200):
+        psi = sample_pure_state((2, 2, 2), rng)
+        pair_ac = partial_trace(density_from_pure(psi), [1])
+        worst = max(worst, abs(build_report(psi, "pre").mutual_information_ac
+                               - mutual_information(pair_ac, [0])))
+    assert worst <= 1e-14
 
 
 def test_scenario_minimizes_once_per_pair_and_side(monkeypatch):
