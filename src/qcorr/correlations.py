@@ -414,7 +414,8 @@ def koashi_winter_residual(psi: PureState, a: int, b: int, c: int) -> float:
     POVMs. A projective-only J can only fall short of that, which can only
     raise the residual; but rho_ac has rank 2, so its minimum is certified
     against the floor E_F(rho_ab), and the residual is that minimum minus
-    the floor, to rounding: [-2.00e-15, 8.99e-15] over kw_audit(100, 7).
+    the floor, to rounding: at most 1.19e-14 over kw_audit(100, 7) on any of
+    five OpenBLAS kernels (Prescott's figure; SkylakeX reads 8.99e-15).
     """
     if psi.dims != (2, 2, 2):
         raise DimMismatchError(f"three-qubit pure state required, got dims {psi.dims}")

@@ -1,16 +1,21 @@
-"""Correlation report: the full measure table for one scenario stage,
-plus JSON/CSV/table rendering.
+"""Correlation report: the full measure table for one scenario stage, and
+the output layer of every subcommand.
 
-All numeric output goes through fmt12 (12 significant digits) so that
-parsing an emitted report and re-rendering it reproduces the bytes.
+(key, value) pairs render as an aligned table, JSON or CSV, and a value's
+type decides its text: a float goes through fmt12 (12 significant digits,
+so that parsing an emitted report and re-rendering it reproduces the
+bytes), a bool prints as true/false, an int as it is, and a str is quoted
+in JSON only. The status word of a check and the Koashi-Winter residual
+window are written here and nowhere else.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from textwrap import indent
 from typing import Optional
 
-from .correlations import MEASURE_FLOOR
+from .correlations import MEASURE_FLOOR, RESIDUAL_HIGH, RESIDUAL_LOW
 from .exceptions import ConsistencyError
 
 MARGINAL_KEYS = ("A", "B", "C")
@@ -32,6 +37,42 @@ def _fmt_bound(value: float) -> str:
     """A bound as short mantissa-exponent text: 1e-4, not 0.0001 or 1e-04."""
     mantissa, exponent = format(float(value), "e").split("e")
     return f"{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}"
+
+
+_STATUS = ("FAIL", "PASS")  # indexed by a check's passed flag
+
+
+def _check_line(check) -> str:
+    return f"{_STATUS[check.passed]} {check.name}: {check.detail}"
+
+
+def _residual_window(low: float, high: float) -> str:
+    """Where Koashi-Winter residuals fell, against the window that judges them."""
+    return (f"residuals in [{low:.2e}, {high:.2e}], "
+            f"bounds [{_fmt_bound(RESIDUAL_LOW)}, {_fmt_bound(RESIDUAL_HIGH)}]")
+
+
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, (str, int)) else fmt12(value)
+
+
+def _json_object(fields) -> str:
+    return "{" + ", ".join(
+        f'"{key}": {json.dumps(value) if isinstance(value, str) else _text(value)}'
+        for key, value in fields) + "}"
+
+
+def _render(fields, fmt: str) -> str:
+    """(key, value) pairs as one JSON object, quantity,value CSV rows or an
+    aligned table."""
+    if fmt == "json":
+        return _json_object(fields) + "\n"
+    if fmt == "csv":
+        return "quantity,value\n" + "".join(f"{k},{_text(v)}\n" for k, v in fields)
+    width = max(len(k) for k, _ in fields)
+    return "".join(f"{k:<{width}}  {_text(v)}\n" for k, v in fields)
 
 
 def _require_keys(mapping: dict, keys: tuple, what: str):
@@ -93,22 +134,16 @@ class CorrelationReport:
 
 
 def report_json_object(report: CorrelationReport) -> str:
-    fields = [f'"stage": {json.dumps(report.stage)}']
-    fields += [f'"{key}": {fmt12(value)}' for key, value in report.numeric_items()]
-    return "{" + ", ".join(fields) + "}"
+    return _json_object([("stage", report.stage), *report.numeric_items()])
 
 
 def reproduce_json(pre: CorrelationReport, post: CorrelationReport, checks) -> str:
     """One JSON document for a full reproduction run."""
     check_objs = ", ".join(
-        "{" + f'"name": {json.dumps(c.name)}, "status": "{"PASS" if c.passed else "FAIL"}", '
-        f'"detail": {json.dumps(c.detail)}' + "}"
+        _json_object([("name", c.name), ("status", _STATUS[c.passed]), ("detail", c.detail)])
         for c in checks)
-    all_pass = "true" if all(c.passed for c in checks) else "false"
-    return ('{"pre": ' + report_json_object(pre)
-            + ', "post": ' + report_json_object(post)
-            + ', "checks": [' + check_objs + ']'
-            + ', "all_pass": ' + all_pass + '}\n')
+    return (f'{{"pre": {report_json_object(pre)}, "post": {report_json_object(post)}, '
+            f'"checks": [{check_objs}], "all_pass": {_text(all(c.passed for c in checks))}}}\n')
 
 
 def reproduce_csv(pre: CorrelationReport, post: CorrelationReport) -> str:
@@ -120,8 +155,12 @@ def reproduce_csv(pre: CorrelationReport, post: CorrelationReport) -> str:
 
 
 def report_table(report: CorrelationReport) -> str:
-    lines = [f"stage: {report.stage}"]
-    width = max(len(k) for k, _ in report.numeric_items())
-    for key, value in report.numeric_items():
-        lines.append(f"  {key:<{width}}  {fmt12(value)}")
-    return "\n".join(lines) + "\n"
+    return f"stage: {report.stage}\n" + indent(_render(report.numeric_items(), "table"), "  ")
+
+
+def _render_reproduce(pre: CorrelationReport, post: CorrelationReport, checks, fmt: str) -> str:
+    if fmt == "json":
+        return reproduce_json(pre, post, checks)
+    if fmt == "csv":
+        return reproduce_csv(pre, post)
+    return report_table(pre) + "\n" + report_table(post) + "\n"

@@ -27,7 +27,7 @@ from .correlations import (
 from .entropy import von_neumann_entropy
 from .linalg import frobenius_distance, kron
 from .measurement import apply_filter, apply_global_operator
-from .report import CorrelationReport, _fmt_bound
+from .report import CorrelationReport, _fmt_bound, _residual_window
 from .states import PureState, density_from_pure, partial_trace, purity
 
 LABELS = ("A", "B", "C")
@@ -202,8 +202,7 @@ def acceptance_checks(pre: CorrelationReport, post: CorrelationReport) -> list[C
     residuals = list(pre.kw_residuals.values()) + list(post.kw_residuals.values())
     add("identity_residuals",
         all(RESIDUAL_LOW <= r <= RESIDUAL_HIGH for r in residuals),
-        f"residuals in [{min(residuals):.2e}, {max(residuals):.2e}], "
-        f"bounds [{_fmt_bound(RESIDUAL_LOW)}, {_fmt_bound(RESIDUAL_HIGH)}]")
+        _residual_window(min(residuals), max(residuals)))
 
     dist = post.filter_equivalence_distance
     add("operator_equivalence",

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import qcorr
 from qcorr import density_to_json, pure_to_json, random_pure_state
-from qcorr.cli import main
+from qcorr.cli import FORMATS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -107,6 +108,61 @@ def test_cli_writes_nothing_without_out(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_cli(["reproduce", "--format", "csv"] , capsys)
     assert list(tmp_path.iterdir()) == []
+
+
+# the exact text of `value` on the hand-built fixtures, per --measure kind
+MEASURE_VALUES = {
+    "bell_pair": {"entropy": "0", "mi": "2", "eof": "1", "concurrence": "1",
+                  "discord": "1", "j": "1"},
+    "pair_pre": {"entropy": "1", "mi": "1", "eof": "0", "concurrence": "0",
+                 "discord": "0", "j": "1"},
+}
+
+
+def printed_fields(out: str, fmt: str):
+    """The (key, text) pairs of one measure output as printed, and the keys
+    whose JSON value is a quoted string."""
+    if fmt == "json":
+        assert out.endswith("}\n") and out.count("\n") == 1
+        json.loads(out)
+        pairs = re.findall(r'"(\w+)": ("[^"]*"|[^,}]+)', out)
+        return [(k, v.strip('"')) for k, v in pairs], {k for k, v in pairs if v[0] == '"'}
+    lines = out.splitlines()
+    if fmt == "csv":
+        assert lines[0] == "quantity,value"
+        return [tuple(line.split(",")) for line in lines[1:]], set()
+    width = max(len(line.split()[0]) for line in lines)
+    assert all(line[width:width + 2] == "  " and line[width + 2] != " " for line in lines)
+    return [tuple(line.split(None, 1)) for line in lines], set()
+
+
+@pytest.mark.parametrize("fixture", sorted(MEASURE_VALUES))
+def test_measure_prints_the_same_fields_in_every_format(fixture, request, tmp_path, capsys):
+    # every kind and measured side: table, csv and json carry the same (key,
+    # text) pairs in the same order, and only the strings are quoted in json
+    path = tmp_path / "state.json"
+    path.write_text(density_to_json(request.getfixturevalue(fixture)), encoding="utf-8")
+    for kind, value in MEASURE_VALUES[fixture].items():
+        directional = kind in ("discord", "j")
+        for measured in ((0, 1) if directional else (None,)):
+            flags = [] if measured is None else ["--measured", str(measured)]
+            printed = {}
+            for fmt in FORMATS:
+                code, out, err = run_cli(
+                    ["measure", str(path), "--measure", kind, *flags, "--format", fmt], capsys)
+                assert (code, err) == (0, "")
+                printed[fmt] = printed_fields(out, fmt)
+            fields, quoted = printed["json"]
+            assert printed["table"] == printed["csv"] == (fields, set())
+            want = [("measure", kind), ("value", value)]
+            if directional:
+                want += [("measured", str(measured)),
+                         ("direction", ("rightward", "leftward")[measured]),
+                         ("optimal_theta", "0"), ("optimal_phi", "0")]
+                assert fields[-1][0] == "optimizer_evals" and fields[-1][1].isdigit()
+                fields = fields[:-1]
+            assert fields == want
+            assert quoted == ({"measure", "direction"} if directional else {"measure"})
 
 
 def test_measure_discord_on_state_file(tmp_path, capsys, pair_post):
@@ -273,16 +329,20 @@ def test_measure_product_state_prints_plain_zero(tmp_path, capsys):
         assert "\nvalue,0\n" in out
 
 
+def src_env(**extra) -> dict:
+    """This process's environment with the tested package first on the path."""
+    src = os.path.dirname(os.path.dirname(qcorr.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 def test_overflowing_norm_prints_only_the_error_line(tmp_path):
     # a fresh interpreter, so any numpy warning would reach the real stderr
     path = tmp_path / "huge.json"
     path.write_text('{"dims": [2], "amplitudes": [[1e308, 0], [1e308, 0]]}', encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(qcorr.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "qcorr", "measure", str(path), "--measure", "entropy"],
-        capture_output=True, text=True, timeout=60, env=env)
+        capture_output=True, text=True, timeout=60, env=src_env())
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: state vector norm deviates from 1 by inf\n"
@@ -296,6 +356,49 @@ def test_module_entry_point():
     json.loads(result.stdout)  # stdout holds only the document
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # the reader is gone before the child writes, as in `qcorr reproduce | head`;
+    # buffered, the write fails at the final flush, unbuffered at the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = src_env(PYTHONUNBUFFERED=unbuffered)
+    with os.fdopen(write_end, "wb") as closed:
+        result = subprocess.run([sys.executable, "-m", "qcorr", "reproduce"], stdout=closed,
+                                stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    # the table format writes everything to stdout, so stderr stays empty:
+    # no "internal error", no traceback, no "Exception ignored"
+    assert (result.returncode, result.stderr) == (2, "")
+
+
+def openblas_kernel_skip_reason():
+    """None when OPENBLAS_CORETYPE picks numpy's BLAS kernel, else why not."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return "numpy.show_config does not report its BLAS build"
+    if ("openblas" not in blas.get("name", "").lower()
+            or "DYNAMIC_ARCH" not in blas.get("openblas configuration", "")):
+        return f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS with DYNAMIC_ARCH"
+    return None
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_reproduce_matches_the_goldens_under_other_blas_kernels(kernel):
+    # the goldens are byte-identical across OpenBLAS kernels, not only on
+    # the kernel this host picks; one child prints json, then csv
+    reason = openblas_kernel_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    code = ("import sys; from qcorr.cli import main; sys.exit("
+            "main(['reproduce', '--format', 'json']) or main(['reproduce', '--format', 'csv']))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120,
+                            env=src_env(OPENBLAS_CORETYPE=kernel))
+    assert result.returncode == 0, result.stderr.decode()
+    golden = GOLDEN.joinpath("reproduce.json").read_bytes() + GOLDEN.joinpath("reproduce.csv").read_bytes()
+    assert result.stdout == golden
+
+
 def test_all_exports_resolve_once():
     # a stale name in __all__ would break `from qcorr import *`
     assert len(qcorr.__all__) == len(set(qcorr.__all__))
@@ -303,12 +406,9 @@ def test_all_exports_resolve_once():
 
 
 def test_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(qcorr.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-c", "import sys, qcorr, qcorr.cli; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        capture_output=True, text=True, timeout=60, env=env)
+        capture_output=True, text=True, timeout=60, env=src_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import pytest
 
 import qcorr.cli
 import qcorr.correlations
+import qcorr.report
 import qcorr.scenario
 from qcorr import (
     acceptance_checks,
@@ -193,13 +194,15 @@ def test_report_leaves_residuals_to_the_identity_window(scenario_reports):
 
 def test_details_print_the_bound_constants(monkeypatch, scenario_reports, capsys):
     monkeypatch.setattr(qcorr.scenario, "OPTIMIZED_TOL", 3e-5)
-    monkeypatch.setattr(qcorr.scenario, "RESIDUAL_LOW", -2.5e-7)
+    # the residual window's text is written once, in qcorr.report
+    monkeypatch.setattr(qcorr.report, "RESIDUAL_LOW", -2.5e-7)
     by_name = {c.name: c for c in acceptance_checks(*scenario_reports)}
     assert "tol 3e-5" in by_name["discord_asymmetry"].detail
     assert by_name["classical_drop"].detail.endswith(", tol 3e-5")
     assert by_name["pre_table"].detail.count("(tol 3e-5)") == 1
     assert by_name["identity_residuals"].detail.endswith("bounds [-2.5e-7, 2e-3]")
-    monkeypatch.setattr(qcorr.cli, "RESIDUAL_HIGH", 5e-3)
+    monkeypatch.undo()
+    monkeypatch.setattr(qcorr.report, "RESIDUAL_HIGH", 5e-3)
     assert qcorr.cli.main(["kw-audit", "--count", "1"]) == 0
     assert capsys.readouterr().out.rstrip().endswith("bounds [-1e-6, 5e-3]")
 
