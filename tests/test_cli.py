@@ -359,7 +359,7 @@ def test_module_entry_point():
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_exits_quietly(unbuffered):
     # the reader is gone before the child writes, as in `qcorr reproduce | head`;
-    # buffered, the write fails at the final flush, unbuffered at the first write
+    # buffered, the write fails when stdout is flushed, unbuffered at once
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = src_env(PYTHONUNBUFFERED=unbuffered)
