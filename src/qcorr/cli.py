@@ -18,7 +18,8 @@ import os
 import sys
 from dataclasses import asdict
 
-from .correlations import classical_correlation, concurrence, discord, eof_two_qubits, kw_audit
+from .correlations import (_CYCLIC_PERMS, classical_correlation, concurrence, discord,
+                           eof_two_qubits, kw_audit)
 from .entropy import mutual_information, von_neumann_entropy
 from .exceptions import QcorrError
 from .report import _check_line, _render, _render_reproduce, _residual_window
@@ -82,9 +83,9 @@ def cmd_measure(args) -> int:
 
 def cmd_kw_audit(args) -> int:
     s = kw_audit(args.count, args.seed)
-    window = _residual_window(s.min_residual, s.max_residual)
+    detail = f"{len(_CYCLIC_PERMS) * s.count} {_residual_window(s.min_residual, s.max_residual)}"
     return _finish(args, _render(list(asdict(s).items()), args.format),
-                   [Check("identity_audit", s.within_bounds, f"{3 * s.count} {window}")])
+                   [Check("identity_audit", s.within_bounds, detail)])
 
 
 def build_parser() -> argparse.ArgumentParser:

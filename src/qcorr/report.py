@@ -5,8 +5,8 @@ the output layer of every subcommand.
 type decides its text: a float goes through fmt12 (12 significant digits,
 so that parsing an emitted report and re-rendering it reproduces the
 bytes), a bool prints as true/false, an int as it is, and a str is quoted
-in JSON only. The status word of a check and the Koashi-Winter residual
-window are written here and nowhere else.
+in JSON only. The status word of a check and the text of the Koashi-Winter
+residual window are written here and nowhere else.
 """
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from textwrap import indent
 from typing import Optional
 
-from .correlations import MEASURE_FLOOR, RESIDUAL_HIGH, RESIDUAL_LOW
+from . import correlations
+from .correlations import MEASURE_FLOOR
 from .exceptions import ConsistencyError
 
 MARGINAL_KEYS = ("A", "B", "C")
@@ -47,9 +48,9 @@ def _check_line(check) -> str:
 
 
 def _residual_window(low: float, high: float) -> str:
-    """Where Koashi-Winter residuals fell, against the window that judges them."""
-    return (f"residuals in [{low:.2e}, {high:.2e}], "
-            f"bounds [{_fmt_bound(RESIDUAL_LOW)}, {_fmt_bound(RESIDUAL_HIGH)}]")
+    """Where Koashi-Winter residuals fell, against correlations' window at call time."""
+    return (f"residuals in [{low:.2e}, {high:.2e}], bounds "
+            f"[{_fmt_bound(correlations.RESIDUAL_LOW)}, {_fmt_bound(correlations.RESIDUAL_HIGH)}]")
 
 
 def _text(value) -> str:

@@ -16,8 +16,7 @@ import numpy as np
 
 from .correlations import (
     _CYCLIC_PERMS,
-    RESIDUAL_HIGH,
-    RESIDUAL_LOW,
+    _in_window,
     _kw_residual,
     _triple_terms,
     classical_correlation,
@@ -33,7 +32,7 @@ from .states import PureState, density_from_pure, partial_trace, purity
 LABELS = ("A", "B", "C")
 PAIRS = ((0, 1), (0, 2), (1, 2))
 
-# acceptance bounds; residuals use correlations.RESIDUAL_*
+# acceptance bounds; residuals are judged by correlations._in_window
 EXACT_TOL = 1e-12  # closed-form entropies and the filter routes: equal up to rounding
 CLOSED_FORM_TOL = 1e-9  # every other closed form
 PURITY_TOL = 1e-9  # a pure stage's Tr[rho^2]
@@ -200,8 +199,7 @@ def acceptance_checks(pre: CorrelationReport, post: CorrelationReport) -> list[C
         f"post = {post.mutual_information_ac:.9f} (target {s0:.9f}), tol {closed}")
 
     residuals = list(pre.kw_residuals.values()) + list(post.kw_residuals.values())
-    add("identity_residuals",
-        all(RESIDUAL_LOW <= r <= RESIDUAL_HIGH for r in residuals),
+    add("identity_residuals", _in_window(residuals),
         _residual_window(min(residuals), max(residuals)))
 
     dist = post.filter_equivalence_distance

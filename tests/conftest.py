@@ -92,7 +92,7 @@ def _grid_minima(mats, measured, n: int) -> list[tuple]:
         for s in (1.0, -1.0):
             p = 0.5 * (c[:, 0, 0, None] + s * (c[:, 0, 1:] @ nodes))
             v = c[:, 1:, 0, None] + s * (c[:, 1:, 1:] @ nodes)
-            live = p > 1e-12
+            live = p > 0.0
             lam = np.clip(0.5 + 0.25 * np.sqrt((v * v).sum(axis=1)) / np.where(live, p, 1.0),
                           0.5, 1.0)
             q = 1.0 - lam

@@ -383,20 +383,59 @@ def openblas_kernel_skip_reason():
     return None
 
 
-@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+# each OPENBLAS_CORETYPE asked for, and the core name OpenBLAS reports for it
+BLAS_KERNELS = {"Haswell": "Haswell", "Prescott": "Katmai"}
+
+# the child's first stderr line: the core name that numpy's bundled OpenBLAS
+# picked, or "" when the library exports no core-name symbol
+CORENAME = """
+import ctypes, pathlib, sys, numpy
+root, name = pathlib.Path(numpy.__file__).parent, ""
+for lib in [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]:
+    for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+        get = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if get is not None and not name:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            name = get().decode()
+print(name, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("kernel", BLAS_KERNELS)
 def test_reproduce_matches_the_goldens_under_other_blas_kernels(kernel):
     # the goldens are byte-identical across OpenBLAS kernels, not only on
-    # the kernel this host picks; one child prints json, then csv
+    # the kernel this host picks; one child names its kernel, then prints
+    # json, then csv
     reason = openblas_kernel_skip_reason()
     if reason:
         pytest.skip(reason)
-    code = ("import sys; from qcorr.cli import main; sys.exit("
-            "main(['reproduce', '--format', 'json']) or main(['reproduce', '--format', 'csv']))")
+    code = CORENAME + ("from qcorr.cli import main; sys.exit("
+                       "main(['reproduce', '--format', 'json']) or main(['reproduce', '--format', 'csv']))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=120,
                             env=src_env(OPENBLAS_CORETYPE=kernel))
     assert result.returncode == 0, result.stderr.decode()
     golden = GOLDEN.joinpath("reproduce.json").read_bytes() + GOLDEN.joinpath("reproduce.csv").read_bytes()
     assert result.stdout == golden
+    ran = result.stderr.decode().splitlines()[0]
+    if not ran:
+        pytest.skip("numpy's OpenBLAS exports neither scipy_openblas_get_corename64_ "
+                    "nor openblas_get_corename, so the kernel that ran is unknown")
+    assert ran == BLAS_KERNELS[kernel]
+
+
+def test_one_window_binding_judges_and_prints_both_checks(monkeypatch, capsys):
+    # the Koashi-Winter window is bound in qcorr.correlations alone: moving
+    # it there moves the verdict and the printed bounds of both checks
+    monkeypatch.setattr(qcorr.correlations, "RESIDUAL_HIGH", -1.0)
+    code, out, _ = run_cli(["reproduce"], capsys)
+    assert code == 1
+    [line] = [x for x in out.splitlines() if " identity_residuals: " in x]
+    assert line.startswith("FAIL identity_residuals: ")
+    assert line.endswith("bounds [-1e-6, -1e0]")
+    code, out, _ = run_cli(["kw-audit", "--count", "2"], capsys)
+    assert code == 1
+    assert out.splitlines()[-1].startswith("FAIL identity_audit: 6 residuals in [")
+    assert out.rstrip().endswith("bounds [-1e-6, -1e0]")
 
 
 def test_all_exports_resolve_once():

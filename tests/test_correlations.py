@@ -342,6 +342,16 @@ def test_discord_oracle_agrees_on_pairs(pair_pre, pair_post):
             assert oracle >= opt - 1e-9
 
 
+@pytest.mark.parametrize("delta", [1e-14, 1e-13, 5e-13])
+def test_discord_oracle_prices_outcomes_below_the_probability_floor(delta):
+    # (1 - delta)|0><0| x |0><0| + delta |1><1| x 1/2, measured on qubit 0, has
+    # discord 0; a grid that drops outcomes with p <= 1e-12 read -delta there
+    k0, k1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    rho = DensityMatrix((1.0 - delta) * np.kron(k0, k0) + delta * np.kron(k1, np.eye(2) / 2),
+                        (2, 2))
+    assert discord_oracle_grid(rho, 0, 40) >= -1e-15
+
+
 def test_discord_oracle_rejects_bad_input(pair_pre):
     with pytest.raises(DimMismatchError):
         discord_oracle_grid(DensityMatrix(np.eye(8) / 8, (2, 2, 2)), 0, 50)
